@@ -222,11 +222,12 @@ def journal_records(path: str | Path) -> list[Record]:
 
     Cells come out keyed and sorted by their experiment digest (the
     journal's own identity for a cell), each flattened through
-    :func:`result_record`.
+    :func:`result_record`.  Read-only: damaged lines are skipped, the
+    file is never repaired.
     """
     from repro.experiments.journal import SweepJournal
 
-    completed = SweepJournal(path).load()
+    completed = SweepJournal.cells(SweepJournal(path).scan().records)
     rows: list[Record] = []
     for digest in sorted(completed):
         row: Record = {"digest": digest}
@@ -238,10 +239,11 @@ def journal_records(path: str | Path) -> list[Record]:
 def fleet_survival_records(source) -> list[Record]:
     """Survival-rate table for one fleet run.
 
-    ``source`` is either a fleet journal path (the last snapshot is
-    the authority - exactly what ``repro fleet run --resume`` would
-    restore) or a :func:`repro.fleet.fleet_result_to_json` mapping.
-    One row per degradation kind observed in the run - how often it
+    ``source`` is either a fleet journal path (the last verified
+    snapshot is the authority - exactly what ``repro fleet run
+    --resume`` would restore; the file is only read) or a
+    :func:`repro.fleet.fleet_result_to_json` mapping.  One row per
+    degradation kind observed in the run - how often it
     fired, which nodes it hit, how many of those nodes nonetheless
     survived - plus a trailing ``fleet`` row carrying the run-level
     survival rate over every started node.
@@ -251,7 +253,9 @@ def fleet_survival_records(source) -> list[Record]:
     if isinstance(source, (str, Path)):
         from repro.fleet.journal import FleetJournal
 
-        loaded = FleetJournal(source).load_last_snapshot()
+        loaded = FleetJournal.last_snapshot(
+            FleetJournal(source).scan().records
+        )
         if loaded is None:
             return []
         _step, state = loaded

@@ -38,10 +38,7 @@ from repro.core.checkpoint import CheckpointError
 from repro.core.history import HistoryStore
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.experiments.figures import power_sweep
-from repro.experiments.journal import (
-    JournalHeaderMismatchError,
-    SweepJournal,
-)
+from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.reporting import render_sweep, render_table1
 from repro.experiments.runner import (
@@ -73,6 +70,7 @@ from repro.telemetry import (
     render_decision_timeline,
     render_metrics_summary,
 )
+from repro.util.jsonlog import LogMismatchError
 from repro.util.log import LEVELS as _LOG_LEVELS
 from repro.util.log import configure as configure_logging
 from repro.util.tables import format_table
@@ -766,7 +764,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 sweep = _run_sweep()
         else:
             sweep = _run_sweep()
-    except JournalHeaderMismatchError as exc:
+    except LogMismatchError as exc:
         raise SystemExit(f"error: {exc}") from exc
     lines = [
         render_sweep(
@@ -794,7 +792,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_fleet(args: argparse.Namespace) -> str:
     from repro.fleet import (
         FleetJournal,
-        FleetJournalMismatchError,
         FleetPlanError,
         FleetSimulation,
         load_fleet_plan,
@@ -837,7 +834,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 result = sim.run()
         else:
             result = sim.run()
-    except FleetJournalMismatchError as exc:
+    except LogMismatchError as exc:
         raise SystemExit(f"error: {exc}") from exc
     return render_fleet(result)
 

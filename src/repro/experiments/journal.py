@@ -4,101 +4,46 @@ The result cache (:mod:`repro.experiments.cache`) already memoizes
 completed cells, but it is optional, shared across sweeps, and keyed
 only by experiment digest - it cannot say *which sweep* a result
 belongs to or whether a sweep finished.  The journal is the
-sweep-scoped complement: an append-only JSONL file where the executor
-records each completed cell (digest + full-fidelity result) the moment
-it finishes, flushed and fsynced so a ``kill -9`` never loses a
-completed cell.
+sweep-scoped complement: a :class:`~repro.util.jsonlog.JsonLog` whose
+header identifies the sweep (task-grid fingerprint, seeds, fault
+plans) and where the executor records each completed cell (digest +
+full-fidelity result) the moment it finishes, fsynced so a ``kill -9``
+never loses a completed cell.
 
 On resume (``ParallelSweepExecutor(..., resume=True)``) completed
 cells are served from the journal and only the remainder executes.
 Because results round-trip through the same serializer as the cache
 (floats via ``repr``), a killed-and-resumed sweep produces output
-byte-identical to an uninterrupted run at the same seed.
-
-A torn tail - the partial last line a crash can leave behind even
-with fsync (the crash may land mid-``write``) - is tolerated and
-truncated away on load.
+byte-identical to an uninterrupted run at the same seed.  Every line
+is checksummed, so a torn tail or a flipped bit is quarantined and
+that cell re-runs instead of being replayed.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 from repro.experiments.cache import result_from_json, result_to_json
 from repro.experiments.runner import StrategyRunResult
+from repro.util.jsonlog import JsonLog
 
-#: bump when the journal line layout changes; mismatched lines are
-#: ignored on load (the cells simply re-run).
-JOURNAL_SCHEMA_VERSION = 1
-
-
-class JournalHeaderMismatchError(ValueError):
-    """The journal on disk was written by a *different* sweep (other
-    seed set, fault plan, or task grid); resuming would silently mix
-    incompatible results, so the executor refuses instead."""
+#: bump when the journal record layout changes; a journal of another
+#: schema has no valid header, so ``--resume`` refuses it.
+JOURNAL_SCHEMA_VERSION = 2
 
 
-class SweepJournal:
-    """Append-only completed-cell log for one sweep invocation.
+class SweepJournal(JsonLog):
+    """Append-only completed-cell log for one sweep invocation."""
 
-    The first line may be a ``kind: "header"`` record identifying the
-    sweep that wrote the journal (task-grid fingerprint, seeds, fault
-    plans); resume compares it against the current sweep and refuses a
-    mismatch.  Journals written before headers existed load normally.
-    """
+    schema = JOURNAL_SCHEMA_VERSION
+    name = "sweep"
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+    @staticmethod
+    def cells(records: list[dict]) -> dict[str, StrategyRunResult]:
+        """Completed cells keyed by experiment digest."""
+        return {r["digest"]: result_from_json(r["result"]) for r in records}
 
-    # ------------------------------------------------------------------
     def load(self) -> dict[str, StrategyRunResult]:
-        """Completed cells keyed by experiment digest.
-
-        Tolerant by construction: a missing file is an empty journal;
-        a torn or unparsable line (interrupted write) ends the scan -
-        everything before it is intact because lines are appended
-        atomically in order.
-        """
-        completed: dict[str, StrategyRunResult] = {}
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return completed
-        valid_bytes = 0
-        for raw in data.splitlines(keepends=True):
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                valid_bytes += len(raw)
-                continue
-            try:
-                blob = json.loads(line)
-                if (
-                    not isinstance(blob, dict)
-                    or blob.get("schema") != JOURNAL_SCHEMA_VERSION
-                ):
-                    valid_bytes += len(raw)
-                    continue
-                if blob.get("kind") == "header":
-                    # sweep-identity record, not a completed cell;
-                    # must be skipped *before* the digest lookup or
-                    # the torn-tail branch would truncate it away.
-                    valid_bytes += len(raw)
-                    continue
-                completed[blob["digest"]] = result_from_json(
-                    blob["result"]
-                )
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError, IndexError):
-                # torn tail from a crash mid-append: nothing after it
-                # was recorded.  Truncate it away so future appends
-                # land on an intact prefix, and re-run those cells.
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(valid_bytes)
-                break
-            valid_bytes += len(raw)
-        return completed
+        """Completed cells keyed by digest, after repairing damage."""
+        return self.cells(self.load_records())
 
     def run_ids(self) -> dict[str, str]:
         """Telemetry run-ids of journaled cells, keyed by digest.
@@ -119,63 +64,8 @@ class SweepJournal:
         return self._field_by_digest("trace")
 
     def _field_by_digest(self, field: str) -> dict[str, str]:
-        values: dict[str, str] = {}
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return values
-        for raw in data.splitlines():
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            try:
-                blob = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail; load() handles truncation
-            if not isinstance(blob, dict) or blob.get("kind") == "header":
-                continue
-            digest = blob.get("digest")
-            value = blob.get(field)
-            if isinstance(digest, str) and isinstance(value, str):
-                values[digest] = value
-        return values
-
-    # ------------------------------------------------------------------
-    def read_header(self) -> dict | None:
-        """The sweep-identity header, or ``None`` for a missing /
-        empty / pre-header (legacy) journal."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
-        for raw in data.splitlines():
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            try:
-                blob = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            if (
-                isinstance(blob, dict)
-                and blob.get("kind") == "header"
-            ):
-                header = dict(blob)
-                header.pop("schema", None)
-                header.pop("kind", None)
-                return header
-            return None  # first record is a cell: legacy journal
-        return None
-
-    def write_header(self, header: dict) -> None:
-        """Record the sweep identity as the first journal line."""
-        self._append_line(
-            {
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "kind": "header",
-                **header,
-            }
-        )
+        records = self.scan().records
+        return {r["digest"]: r[field] for r in records if field in r}
 
     def append(
         self,
@@ -190,13 +80,11 @@ class SweepJournal:
 
         ``run_id`` is the cell's telemetry run identifier; carrying it
         here lets a resumed sweep stitch the per-cell trace files of a
-        killed sweep into one timeline (``load`` tolerates its absence
-        in legacy journals).  ``trace`` is the traceparent handed to
-        the cell's worker, preserved for the same cross-resume
-        stitching.
+        killed sweep into one timeline.  ``trace`` is the traceparent
+        handed to the cell's worker, preserved for the same
+        cross-resume stitching.
         """
         record = {
-            "schema": JOURNAL_SCHEMA_VERSION,
             "digest": digest,
             "task": label,
             "result": result_to_json(result),
@@ -205,17 +93,4 @@ class SweepJournal:
             record["run_id"] = run_id
         if trace is not None:
             record["trace"] = trace
-        self._append_line(record)
-
-    def _append_line(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def clear(self) -> None:
-        """Start the journal over (a fresh, non-resumed sweep)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
+        self.append_records([record])

@@ -36,10 +36,7 @@ from pathlib import Path
 
 from repro.core.history import CorruptHistoryError, HistoryStore
 from repro.experiments.cache import ExperimentCache, experiment_digest
-from repro.experiments.journal import (
-    JournalHeaderMismatchError,
-    SweepJournal,
-)
+from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import (
     ExperimentSetup,
     StrategyRunResult,
@@ -355,7 +352,10 @@ class ParallelSweepExecutor:
         Every completed cell is appended durably; with ``resume=True``
         cells already journaled are served from it instead of
         re-running (a killed sweep picks up where it stopped).
-        Without ``resume`` the journal is cleared first.
+        The journal's header rule (:meth:`~repro.util.jsonlog.
+        JsonLog.open`) applies: without ``resume``, or onto a missing
+        or empty journal, it starts over; a journal another sweep
+        wrote raises :class:`~repro.util.jsonlog.LogMismatchError`.
     resume:
         Serve completed cells from the journal (requires ``journal``).
     faults:
@@ -403,29 +403,9 @@ class ParallelSweepExecutor:
         tasks = list(tasks)
         journaled: dict[str, StrategyRunResult] = {}
         if self.journal is not None:
-            header = self._header(tasks)
-            if self.resume:
-                saved = self.journal.read_header()
-                if saved is not None and saved != header:
-                    mismatched = sorted(
-                        set(saved) ^ set(header)
-                        | {
-                            k
-                            for k in header
-                            if k in saved and saved[k] != header[k]
-                        }
-                    )
-                    raise JournalHeaderMismatchError(
-                        f"journal {self.journal.path} was written by a "
-                        "different sweep (mismatched: "
-                        f"{', '.join(mismatched)}); resuming would mix "
-                        "incompatible results - delete the journal or "
-                        "re-run without resume"
-                    )
-                journaled = self.journal.load()
-            else:
-                self.journal.clear()
-                self.journal.write_header(header)
+            journaled = self.journal.cells(
+                self.journal.open(self._header(tasks), resume=self.resume)
+            )
 
         tb = bus()
         journaled_traces: dict[str, str] = {}

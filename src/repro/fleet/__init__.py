@@ -13,7 +13,7 @@ Public API::
     from repro.fleet import (
         FleetPlan, FleetNodeSpec, load_fleet_plan, synthesize_fleet,
         FleetSimulation, FleetResult, fleet_result_to_json,
-        FleetJournal, FleetJournalMismatchError,
+        FleetJournal,
         BudgetAllocator, BudgetInvariantError,
         MembershipTracker, FleetEvent,
     )
@@ -21,7 +21,7 @@ Public API::
 
 from repro.fleet.allocator import BudgetAllocator, BudgetInvariantError
 from repro.fleet.events import DEGRADATION_KINDS, FleetEvent
-from repro.fleet.journal import FleetJournal, FleetJournalMismatchError
+from repro.fleet.journal import FleetJournal
 from repro.fleet.membership import MembershipTracker
 from repro.fleet.plan import (
     FleetNodeSpec,
@@ -46,7 +46,6 @@ __all__ = [
     "DEGRADATION_KINDS",
     "FleetEvent",
     "FleetJournal",
-    "FleetJournalMismatchError",
     "FleetNodeSpec",
     "FleetPlan",
     "FleetPlanError",

@@ -202,15 +202,12 @@ class FleetSimulation:
 
     def run(self) -> FleetResult:
         if self.journal is not None:
-            if self.resume:
-                self.journal.check_header(self._header())
-                snap = self.journal.load_last_snapshot()
-                if snap is not None:
-                    self.step, state = snap
-                    self._restore(state)
-            else:
-                self.journal.clear()
-                self.journal.write_header(self._header())
+            snap = self.journal.last_snapshot(
+                self.journal.open(self._header(), resume=self.resume)
+            )
+            if snap is not None:
+                self.step, state = snap
+                self._restore(state)
         while self.step < self.plan.max_steps and not self._finished():
             if (
                 self.stop_after is not None

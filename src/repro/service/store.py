@@ -7,15 +7,14 @@ Layout (``root`` is the daemon's ``--store`` directory)::
         quarantine/<shard>.<k>               # corrupt shards, kept for
                                              # post-mortem, never read
 
-Each shard is an append-only JSONL log (the :class:`~repro.
-experiments.journal.SweepJournal` recipe) whose lines are
-schema-stamped **and checksummed**: a torn tail from a crash mid-write
-*or* a bit flipped anywhere in the file is detected per line, the
-offending shard is quarantined (renamed aside, preserved for
-inspection), every line that still validates is salvaged into a fresh
-shard, and the other shards are never touched.  Within a shard the
-last line for a key wins, so an update is just another append -
-compaction happens on :meth:`close`.
+Each shard is a :class:`~repro.util.jsonlog.JsonLog`: schema-stamped,
+checksummed lines, so a torn tail from a crash mid-write *or* a bit
+flipped anywhere in the file is detected per line, the offending shard
+is quarantined (moved aside, preserved for inspection), every line
+that still verifies is salvaged into a fresh shard, and the other
+shards are never touched.  Within a shard the last line for a key
+wins, so an update is just another append - compaction happens on
+:meth:`close`.
 
 Admission is LRU-bounded (``capacity`` entries across all shards);
 writes are batched in memory (``write_behind`` pending entries per
@@ -28,17 +27,15 @@ integrity.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.telemetry.bus import bus
-from repro.util.atomicio import atomic_write_text
+from repro.util.jsonlog import JsonLog
 
 #: bump when the entry line layout changes; mismatched lines are
 #: treated as corrupt (quarantined + salvaged), never silently mixed.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: default shard count; keys spread by digest prefix.
 DEFAULT_SHARDS = 16
@@ -51,11 +48,8 @@ DEFAULT_CAPACITY = 4096
 DEFAULT_WRITE_BEHIND = 64
 
 
-def _line_checksum(key: str, payload: dict) -> str:
-    blob = json.dumps(
-        [key, payload], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+class _ShardLog(JsonLog):
+    schema = STORE_SCHEMA_VERSION
 
 
 @dataclass
@@ -115,6 +109,9 @@ class ServiceStore:
         #: superseded entries); rewritten on close.
         self._dirty_shards: set[int] = set()
         self._closed = False
+        self._logs = [
+            _ShardLog(self.shard_path(i)) for i in range(shards)
+        ]
         self._load()
 
     # ------------------------------------------------------------------
@@ -132,109 +129,23 @@ class ServiceStore:
     # ------------------------------------------------------------------
     def _load(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        for index in range(self.shards):
-            self._load_shard(index)
+        for index, log in enumerate(self._logs):
+            scan = log.scan()
+            entries = {r["key"]: r["payload"] for r in scan.records}
+            if log.repair(scan):
+                self.stats.quarantined_shards += 1
+                self.stats.salvaged_entries += len(entries)
+                tb = bus()
+                if tb.enabled:
+                    tb.count("service.store.quarantines")
+                    tb.emit(
+                        "service.store.shard_quarantined",
+                        shard=index,
+                        corrupt_lines=scan.damaged + scan.foreign,
+                        salvaged=len(entries),
+                    )
+            self._entries.update(entries)
         self._enforce_capacity()
-
-    def _load_shard(self, index: int) -> None:
-        path = self.shard_path(index)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return
-        entries: dict[str, dict] = {}
-        corrupt = 0
-        for raw in data.splitlines():
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            entry = self._parse_line(line)
-            if entry is None:
-                # a torn tail, a bit flip, or a foreign schema.  Keep
-                # scanning: lines are independently checksummed, so
-                # later intact lines are still trustworthy.
-                corrupt += 1
-                continue
-            key, payload = entry
-            entries[key] = payload
-        if corrupt:
-            self._quarantine(index, path, entries, corrupt)
-        self._entries.update(entries)
-
-    @staticmethod
-    def _parse_line(line: str) -> tuple[str, dict] | None:
-        try:
-            blob = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if (
-            not isinstance(blob, dict)
-            or blob.get("schema") != STORE_SCHEMA_VERSION
-        ):
-            return None
-        key = blob.get("key")
-        payload = blob.get("payload")
-        if not isinstance(key, str) or not isinstance(payload, dict):
-            return None
-        if blob.get("crc") != _line_checksum(key, payload):
-            return None
-        return key, payload
-
-    def _quarantine(
-        self,
-        index: int,
-        path: Path,
-        salvaged: dict[str, dict],
-        corrupt: int,
-    ) -> None:
-        """Move a damaged shard aside and rebuild it from the lines
-        that still validate.  Quarantined copies are numbered, never
-        overwritten, so repeated corruption keeps every post-mortem."""
-        qdir = self.root / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        n = 0
-        while (qdir / f"{path.name}.{n}").exists():
-            n += 1
-        os.replace(path, qdir / f"{path.name}.{n}")
-        self._rewrite_shard(index, salvaged)
-        self.stats.quarantined_shards += 1
-        self.stats.salvaged_entries += len(salvaged)
-        tb = bus()
-        if tb.enabled:
-            tb.count("service.store.quarantines")
-            tb.emit(
-                "service.store.shard_quarantined",
-                shard=index,
-                corrupt_lines=corrupt,
-                salvaged=len(salvaged),
-            )
-
-    def _rewrite_shard(
-        self, index: int, entries: dict[str, dict]
-    ) -> None:
-        lines = [
-            self._encode_line(key, payload)
-            for key, payload in entries.items()
-        ]
-        atomic_write_text(
-            self.shard_path(index),
-            "".join(line + "\n" for line in lines),
-        )
-
-    @staticmethod
-    def _encode_line(key: str, payload: dict) -> str:
-        # payload insertion order is preserved (no sort_keys): served
-        # entries must round-trip byte-identically; only the CRC uses
-        # a canonical (sorted) rendering.
-        return json.dumps(
-            {
-                "schema": STORE_SCHEMA_VERSION,
-                "key": key,
-                "payload": payload,
-                "crc": _line_checksum(key, payload),
-            },
-            separators=(",", ":"),
-        )
 
     # ------------------------------------------------------------------
     # reads / writes
@@ -288,19 +199,13 @@ class ServiceStore:
         appends to stable storage (the shutdown path)."""
         if not self._pending:
             return 0
-        by_shard: dict[int, list[str]] = {}
+        by_shard: dict[int, list[dict]] = {}
         for key, payload in self._pending.items():
             by_shard.setdefault(self.shard_index(key), []).append(
-                self._encode_line(key, payload)
+                {"key": key, "payload": payload}
             )
-        for index, lines in sorted(by_shard.items()):
-            path = self.shard_path(index)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "a") as handle:
-                handle.write("".join(line + "\n" for line in lines))
-                handle.flush()
-                if fsync:
-                    os.fsync(handle.fileno())
+        for index, records in sorted(by_shard.items()):
+            self._logs[index].append_records(records, fsync=fsync)
         written = len(self._pending)
         self._pending.clear()
         self.stats.flushes += 1
@@ -316,12 +221,13 @@ class ServiceStore:
         """Rewrite every shard that accumulated stale lines (evicted
         or superseded entries) from the live map."""
         for index in sorted(self._dirty_shards):
-            live = {
-                key: payload
-                for key, payload in self._entries.items()
-                if self.shard_index(key) == index
-            }
-            self._rewrite_shard(index, live)
+            self._logs[index].rewrite(
+                [
+                    {"key": key, "payload": payload}
+                    for key, payload in self._entries.items()
+                    if self.shard_index(key) == index
+                ]
+            )
         self._dirty_shards.clear()
 
     def close(self) -> None:

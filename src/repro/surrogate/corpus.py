@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.experiments.cache import CACHE_SCHEMA_VERSION, result_from_json
-from repro.experiments.journal import JOURNAL_SCHEMA_VERSION
+from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import StrategyRunResult
 from repro.faults.inject import FaultInjector
 from repro.openmp.types import OMPConfig, ScheduleKind
@@ -258,37 +258,25 @@ def fold_journal(
 ) -> list[TrainingRecord]:
     """Fold the completed cells of one sweep journal.
 
-    Read-only (unlike :meth:`SweepJournal.load`, which truncates torn
-    tails in place): a fold must never mutate the sweep's own recovery
-    log.  Records from mismatched schema versions are skipped and
-    counted - never raised mid-fold - so journals spanning a schema
-    upgrade still contribute every line they can.
+    Read-only (:meth:`~repro.util.jsonlog.JsonLog.scan`, never the
+    repairing load): a fold must never mutate the sweep's own recovery
+    log.  Lines that fail their checksum and lines of another schema
+    version are skipped and counted - never raised mid-fold - so
+    damaged journals and journals spanning a schema upgrade still
+    contribute every line they can.
     """
     path = Path(path)
     records: list[TrainingRecord] = []
-    try:
-        data = path.read_bytes()
-    except OSError:
+    if not path.is_file():
         stats.note(f"unreadable journal {path.name}; skipped")
         return records
     stats.files += 1
-    for raw in data.splitlines():
-        line = raw.decode(errors="replace").strip()
-        if not line:
-            continue
-        try:
-            blob = json.loads(line)
-        except json.JSONDecodeError:
-            stats.skipped_damaged += 1
-            stats.note(
-                f"torn/corrupt journal line in {path.name}; skipped"
-            )
-            continue
-        if not isinstance(blob, dict) or blob.get("kind") == "header":
-            continue
-        if blob.get("schema") != JOURNAL_SCHEMA_VERSION:
-            stats.skipped_schema += 1
-            continue
+    scan = SweepJournal(path).scan()
+    stats.skipped_schema += scan.foreign
+    if scan.damaged:
+        stats.skipped_damaged += scan.damaged
+        stats.note(f"torn/corrupt journal line in {path.name}; skipped")
+    for blob in scan.records:
         try:
             result = result_from_json(blob["result"])
             digest = str(blob["digest"])

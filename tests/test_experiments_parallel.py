@@ -35,6 +35,7 @@ from repro.experiments.runner import (
 )
 from repro.machine.spec import crill, minotaur
 from repro.openmp.types import OMPConfig
+from repro.util.jsonlog import LogMismatchError
 from repro.workloads.synthetic import synthetic_application
 
 
@@ -320,15 +321,6 @@ class TestJournalHeader:
         journal.clear()
         assert journal.read_header() is None
 
-    def test_legacy_journal_without_header_reads_none(self, tmp_path):
-        # journals written before headers existed start with a cell
-        journal = self._journal(tmp_path)
-        task = _task()
-        digest = ParallelSweepExecutor._digest(task)
-        journal.append(digest, task.label, run_sweep_task(task))
-        assert journal.read_header() is None
-        assert digest in journal.load()
-
     def test_header_is_not_a_cell(self, tmp_path):
         journal = self._journal(tmp_path)
         journal.write_header({"sweep": "abc123"})
@@ -340,17 +332,11 @@ class TestJournalHeader:
         assert journal.read_header() == {"sweep": "abc123"}
 
     def test_executor_refuses_foreign_journal(self, tmp_path):
-        from repro.experiments.journal import (
-            JournalHeaderMismatchError,
-        )
-
         journal = self._journal(tmp_path)
         tasks = [_task(strategy="default", seed=0)]
         ParallelSweepExecutor(journal=journal).run(tasks)
         other = [_task(strategy="default", seed=1)]
-        with pytest.raises(
-            JournalHeaderMismatchError, match="seeds"
-        ):
+        with pytest.raises(LogMismatchError, match="seeds"):
             ParallelSweepExecutor(
                 journal=journal, resume=True
             ).run(other)
@@ -364,13 +350,35 @@ class TestJournalHeader:
         ).run([_task(strategy="default", seed=0)])
         assert result_to_json(resumed[0]) == result_to_json(first[0])
 
-    def test_legacy_journal_resumes_without_complaint(self, tmp_path):
-        # pre-header journals must stay resumable (no header = no check)
+    def test_resume_refuses_headerless_journal(self, tmp_path):
+        # a non-empty journal without a header names no sweep: refused,
+        # every expected key named, the file left as it was
         journal = self._journal(tmp_path)
         task = _task()
         digest = ParallelSweepExecutor._digest(task)
         journal.append(digest, task.label, run_sweep_task(task))
-        results = ParallelSweepExecutor(
-            journal=journal, resume=True
-        ).run([_task()])
-        assert results[0] is not None
+        before = journal.path.read_bytes()
+        with pytest.raises(
+            LogMismatchError, match="no sweep header.*faults, seeds, sweep"
+        ):
+            ParallelSweepExecutor(journal=journal, resume=True).run([task])
+        assert journal.path.read_bytes() == before
+
+    @pytest.mark.parametrize("existing", ["missing", "empty"])
+    def test_resume_onto_fresh_journal_writes_header(
+        self, tmp_path, existing
+    ):
+        # so a later --resume of the same path still checks identity
+        journal = self._journal(tmp_path)
+        if existing == "empty":
+            journal.path.write_bytes(b"")
+        tasks = [_task()]
+        ParallelSweepExecutor(journal=journal, resume=True).run(tasks)
+        assert journal.read_header() == ParallelSweepExecutor._header(
+            tasks
+        )
+        assert len(journal.load()) == 1
+        with pytest.raises(LogMismatchError, match="seeds"):
+            ParallelSweepExecutor(journal=journal, resume=True).run(
+                [_task(seed=1)]
+            )

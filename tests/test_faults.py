@@ -13,7 +13,8 @@ import math
 import pytest
 
 from repro.core.history import HistoryKeyMissing, HistoryStore
-from repro.experiments.journal import SweepJournal
+from repro.experiments.cache import result_to_json
+from repro.experiments.journal import JOURNAL_SCHEMA_VERSION, SweepJournal
 from repro.faults import (
     FAULT_SITES,
     FaultInjector,
@@ -35,6 +36,7 @@ from repro.machine.node import SimulatedNode
 from repro.machine.rapl import CapWriteRejectedError, RaplReadError
 from repro.machine.spec import crill
 from repro.openmp.runtime import OpenMPRuntime
+from repro.util.jsonlog import encode
 
 
 def _plan(*specs: FaultSpec, seed: int = 0) -> FaultPlan:
@@ -453,8 +455,6 @@ class TestSweepJournal:
         return run_strategy("default", app, setup)
 
     def test_append_load_round_trip(self, tmp_path):
-        from repro.experiments.cache import result_to_json
-
         journal = SweepJournal(tmp_path / "j.jsonl")
         result = self._result()
         journal.append("d1", "task-1", result)
@@ -483,7 +483,13 @@ class TestSweepJournal:
         path = tmp_path / "j.jsonl"
         journal = SweepJournal(path)
         result = self._result()
-        path.write_text(json.dumps({"schema": 999, "digest": "x"}) + "\n")
+        path.write_bytes(
+            encode(
+                {"digest": "x", "task": "t0",
+                 "result": result_to_json(result)},
+                JOURNAL_SCHEMA_VERSION + 1,
+            )
+        )
         journal.append("d1", "t1", result)
         assert set(journal.load()) == {"d1"}
 

@@ -29,7 +29,6 @@ from repro.fleet import (
     BudgetAllocator,
     BudgetInvariantError,
     FleetJournal,
-    FleetJournalMismatchError,
     FleetNodeSpec,
     FleetPlan,
     FleetPlanError,
@@ -48,6 +47,7 @@ from repro.fleet.events import (
     FAULT_DEGRADATIONS,
     FleetEvent,
 )
+from repro.util.jsonlog import LogMismatchError
 
 _EPS = 1e-6
 
@@ -207,7 +207,7 @@ class TestChaos:
     ):
         _plan, journal, _result = crash_run
         other = synthesize_fleet(4, seed=99, max_steps=80)
-        with pytest.raises(FleetJournalMismatchError, match="plan"):
+        with pytest.raises(LogMismatchError, match="plan"):
             FleetSimulation(
                 other, crash_faults, journal=journal, resume=True
             ).run()
@@ -545,7 +545,7 @@ class TestFleetJournal:
         journal.write_header({"plan": "abc", "seed": 1})
         journal.check_header({"plan": "abc", "seed": 1})  # ok
         with pytest.raises(
-            FleetJournalMismatchError, match="seed"
+            LogMismatchError, match="seed"
         ):
             journal.check_header({"plan": "abc", "seed": 2})
 
@@ -553,7 +553,7 @@ class TestFleetJournal:
         journal = FleetJournal(tmp_path / "fleet.jsonl")
         journal.path.write_text("not json\n")
         with pytest.raises(
-            FleetJournalMismatchError, match="no fleet header"
+            LogMismatchError, match="no fleet header"
         ):
             journal.check_header({"plan": "abc"})
 

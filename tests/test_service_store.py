@@ -1,16 +1,12 @@
 """Tests for the daemon's sharded, checksummed, LRU knowledge store.
 
-The corruption property tests (``TestCorruptionProperties``) are the
-store's robustness contract: a shard truncated or bit-flipped at ANY
-byte offset is detected, quarantined and rebuilt from its surviving
-lines - and no other shard is ever touched.  Offsets are driven by a
-seeded RNG over many trials (plain pytest, no hypothesis dependency).
+The any-offset corruption properties (a shard truncated or
+bit-flipped anywhere is detected, quarantined and rebuilt from its
+surviving lines, and no other shard is touched) live in
+``tests/test_jsonlog.py``, parametrised over every log user.
 """
 
 from __future__ import annotations
-
-import json
-import random
 
 import pytest
 
@@ -18,8 +14,8 @@ from repro.service.store import (
     DEFAULT_WRITE_BEHIND,
     STORE_SCHEMA_VERSION,
     ServiceStore,
-    _line_checksum,
 )
+from repro.util.jsonlog import encode
 
 
 def payload(i: int) -> dict:
@@ -133,71 +129,9 @@ class TestLRU:
 
 
 class TestCorruptionProperties:
-    """Satellite: shard damage at ANY byte offset is detected,
-    quarantined, rebuilt - and cannot poison other shards."""
-
-    def _damage_and_check(self, tmp_path, damage, trials: int = 24):
-        rng = random.Random(20260808)
-        for trial in range(trials):
-            root = tmp_path / f"t{trial}"
-            store = filled_store(root, 40)
-            expected = dict(store._entries)
-            store.close()
-            shards = [
-                p for p in sorted(root.glob("shard-*.jsonl"))
-                if p.stat().st_size > 0
-            ]
-            victim = rng.choice(shards)
-            data = victim.read_bytes()
-            offset = rng.randrange(len(data))
-            victim.write_bytes(damage(data, offset, rng))
-            intact = {
-                p.name: p.read_bytes()
-                for p in shards
-                if p != victim
-            }
-
-            reopened = ServiceStore(root)
-            # 1. detected + quarantined (original preserved for
-            #    post-mortem), shard rebuilt from surviving lines.
-            assert reopened.stats.quarantined_shards == 1
-            qfiles = list((root / "quarantine").iterdir())
-            assert [q.name for q in qfiles] == [f"{victim.name}.0"]
-            # 2. every surviving entry is served verbatim; nothing
-            #    invented.
-            for key, value in reopened._entries.items():
-                assert expected[key] == value
-            # 3. other shards untouched, their entries all present.
-            for p in shards:
-                if p == victim:
-                    continue
-                assert p.read_bytes() == intact[p.name]
-            lost = set(expected) - set(reopened._entries)
-            victim_index = int(victim.stem.split("-")[1])
-            assert all(
-                reopened.shard_index(k) == victim_index for k in lost
-            )
-            # 4. the rebuilt shard validates cleanly on the next load.
-            reopened.close()
-            final = ServiceStore(root)
-            assert final.stats.quarantined_shards == 0
-            assert dict(final._entries) == dict(reopened._entries)
-
-    def test_truncation_at_any_offset(self, tmp_path):
-        self._damage_and_check(
-            tmp_path, lambda data, offset, rng: data[:offset]
-        )
-
-    def test_bit_flip_at_any_offset(self, tmp_path):
-        def flip(data, offset, rng):
-            bit = 1 << rng.randrange(8)
-            return (
-                data[:offset]
-                + bytes([data[offset] ^ bit])
-                + data[offset + 1 :]
-            )
-
-        self._damage_and_check(tmp_path, flip)
+    """Store-specific corruption handling; the any-offset truncation
+    and bit-flip properties run for every log user in
+    ``tests/test_jsonlog.py``."""
 
     def test_mid_file_garbage_keeps_lines_on_both_sides(self, tmp_path):
         """Unlike prefix-truncation recovery, per-line checksums also
@@ -224,14 +158,11 @@ class TestCorruptionProperties:
         store.put("k", {"v": 1})
         store.close()
         path = store.shard_path(0)
-        line = {
-            "schema": STORE_SCHEMA_VERSION + 1,
-            "key": "alien",
-            "payload": {"v": 2},
-            "crc": _line_checksum("alien", {"v": 2}),
-        }
-        with open(path, "a") as handle:
-            handle.write(json.dumps(line) + "\n")
+        line = encode(
+            {"key": "alien", "payload": {"v": 2}}, STORE_SCHEMA_VERSION + 1
+        )
+        with open(path, "ab") as handle:
+            handle.write(line)
         again = ServiceStore(root, shards=1)
         assert again.get("alien") is None
         assert again.get("k") == {"v": 1}

@@ -36,6 +36,7 @@ from repro.surrogate.corpus import (
     load_corpus,
     save_corpus,
 )
+from repro.util.jsonlog import encode
 from repro.workloads.registry import application_by_name
 
 APP = application_by_name("synthetic", "mixed")
@@ -139,13 +140,12 @@ class TestFoldJournal:
         # must contribute BOTH good lines and count the foreign one
         journal = self._journal(tmp_path, offline_result)
         foreign = {
-            "schema": JOURNAL_SCHEMA_VERSION + 1,
             "digest": "b" * 64,
             "task": "cell-b",
             "result": result_to_json(offline_result),
         }
-        with open(journal.path, "a") as handle:
-            handle.write(json.dumps(foreign) + "\n")
+        with open(journal.path, "ab") as handle:
+            handle.write(encode(foreign, JOURNAL_SCHEMA_VERSION + 1))
         journal.append("c" * 64, "cell-c", offline_result)
         stats = CorpusStats()
         records = fold_journal(journal.path, stats)
@@ -166,7 +166,7 @@ class TestFoldJournal:
         assert stats.skipped_damaged == 1
         assert any("torn/corrupt" in n for n in stats.notes)
         # read-only: the fold must never truncate the sweep's own
-        # recovery log (unlike SweepJournal.load, which may)
+        # recovery log (unlike SweepJournal.load, which repairs it)
         assert journal.path.read_bytes() == before
 
     def test_missing_journal_notes_and_returns_empty(self, tmp_path):
