@@ -12,7 +12,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
@@ -56,7 +55,6 @@ from repro.obs.profile import (
 )
 from repro.obs.slo import SloConfigError
 from repro.obs.trace import render_trace_tree, root_context
-from repro.openmp.batch import NO_BATCH_ENV, set_batching
 from repro.supervise import RunAbortedError
 from repro.experiments.tables import table1_search_space
 from repro.machine.spec import machine_by_name
@@ -133,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record the run's full event/metric stream "
                           "as telemetry.jsonl plus a Perfetto-loadable "
                           "trace.json under DIR")
-    run.add_argument("--no-batch", action="store_true",
-                     help="disable batched configuration evaluation "
-                          "(results are byte-identical either way; "
-                          "escape hatch for debugging)")
     run.add_argument("--service", default=None, metavar="HOST:PORT",
                      help="tuning-service daemon consulted before "
                           "fresh tuning (arcs-offline only); results "
@@ -205,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
              "merged trace.json",
     )
     sweep.add_argument(
-        "--no-batch", action="store_true",
-        help="disable batched configuration evaluation in every cell "
-             "(including worker processes)",
-    )
-    sweep.add_argument(
         "--service", default=None, metavar="HOST:PORT",
         help="tuning-service daemon shared by the offline cells; "
              "tuned configs are fetched from / published to it, with "
@@ -267,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", default=None, metavar="DIR",
         help="record every fleet event / budget gauge as "
              "fleet.jsonl plus trace.json under DIR",
-    )
-    fleet_run.add_argument(
-        "--concurrency", type=int, default=None,
-        help="tuning fan-out width (default: min(8, cores); forced "
-             "serial under --telemetry for byte-identical logs)",
     )
 
     serve = sub.add_parser(
@@ -403,9 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--dim", type=int, default=None,
                      help="hashed feature dimensionality (default: 1024)")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--mlp", action="store_true",
-                     help="refine the ridge fit with the seeded tiny "
-                          "MLP (slower, sometimes tighter)")
     fit.add_argument(
         "--faults", default=None, metavar="PLAN.JSON",
         help="fault plan arming the surrogate.corpus / surrogate.fit "
@@ -557,14 +538,6 @@ def _load_capsched(path: str | None) -> CapSchedule | None:
         raise SystemExit(f"error: {exc}") from exc
 
 
-def _apply_no_batch(args: argparse.Namespace) -> None:
-    """Honour ``--no-batch``: flip the process-wide switch and export
-    the env var so forked sweep workers inherit the choice."""
-    if getattr(args, "no_batch", False):
-        os.environ[NO_BATCH_ENV] = "1"
-        set_batching(False)
-
-
 def _service_chain(
     address: str | None,
     fault_plan: FaultPlan | None,
@@ -588,7 +561,6 @@ def _service_chain(
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    _apply_no_batch(args)
     spec = machine_by_name(args.machine)
     app = application_by_name(args.app, args.workload)
     try:
@@ -718,7 +690,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    _apply_no_batch(args)
     spec = machine_by_name(args.machine)
     app = application_by_name(args.app, args.workload)
     caps = (
@@ -813,16 +784,11 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         raise SystemExit(f"error: {exc}") from exc
     if args.resume and args.journal is None:
         raise SystemExit("error: --resume requires --journal")
-    if args.concurrency is not None and args.concurrency < 1:
-        raise SystemExit(
-            f"error: --concurrency must be >= 1, got {args.concurrency}"
-        )
     sim = FleetSimulation(
         plan,
         _load_faults(args.faults),
         journal=FleetJournal(args.journal) if args.journal else None,
         resume=args.resume,
-        concurrency=args.concurrency,
     )
     try:
         if args.telemetry:
@@ -948,7 +914,6 @@ def _render_fit_report(report) -> str:
         ("  unresolvable", str(report.n_unresolvable)),
         ("feature dim", str(report.dim)),
         ("seed", str(report.seed)),
-        ("mlp refinement", "yes" if report.mlp else "no"),
         ("holdout rel err", fmt(report.holdout_rel_err)),
         ("train rel err", fmt(report.train_rel_err)),
         ("usable", "yes" if report.usable else
@@ -1009,7 +974,6 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
     model = fit_surrogate(
         records,
         seed=args.seed,
-        mlp=args.mlp,
         corpus_stats=stats,
         faults=faults,
         **kwargs,

@@ -45,7 +45,6 @@ class ARCS:
         cap_aware: bool = False,
         objective: str = "time",
         seed: int = 0,
-        batch: bool | None = None,
         source: "ConfigSource | None" = None,
         source_key: "ConfigKey | None" = None,
         surrogate_orders: (
@@ -102,7 +101,6 @@ class ARCS:
             cap_aware=cap_aware,
             objective=objective,
             seed=seed,
-            batch=batch,
             surrogate_orders=surrogate_orders,
         )
         self._attached = False

@@ -41,7 +41,6 @@ from repro.core.overhead import search_overhead_s
 from repro.harmony.engine import make_strategy
 from repro.harmony.session import MeasurementGuard, TuningSession
 from repro.harmony.space import SearchSpace
-from repro.openmp.batch import batching_enabled
 from repro.openmp.runtime import OpenMPRuntime
 from repro.openmp.types import OMPConfig, default_config
 from repro.telemetry.bus import bus
@@ -125,7 +124,6 @@ class ArcsPolicy(Policy):
         cap_aware: bool = False,
         objective: str = "time",
         seed: int = 0,
-        batch: bool | None = None,
         surrogate_orders: (
             dict[str, tuple[tuple[int, ...], ...]] | None
         ) = None,
@@ -158,10 +156,6 @@ class ArcsPolicy(Policy):
         #: trusting configurations tuned for the old level.
         self.cap_aware = cap_aware
         self.seed = seed
-        #: batched-prefetch hinting: ``True``/``False`` force it on or
-        #: off for this policy; ``None`` follows the process-wide
-        #: :func:`repro.openmp.batch.batching_enabled` switch.
-        self.batch = batch
         #: model-ranked probe orders per region (base region name, no
         #: cap suffix), consumed by the ``"surrogate"`` strategy; a
         #: region with no order searches with Nelder-Mead instead (the
@@ -250,9 +244,7 @@ class ArcsPolicy(Policy):
             )
             return
 
-        if self._batching() and (
-            state.hinted_restarts != state.session.stats.restarts
-        ):
+        if state.hinted_restarts != state.session.stats.restarts:
             state.hinted_restarts = state.session.stats.restarts
             self._hint_probes(context.timer_name, state.session)
 
@@ -357,11 +349,6 @@ class ArcsPolicy(Policy):
 
     def _default_config(self) -> OMPConfig:
         return default_config(self.runtime.node.spec.total_hw_threads)
-
-    def _batching(self) -> bool:
-        if self.batch is not None:
-            return self.batch
-        return batching_enabled()
 
     def _hint_probes(
         self, region_name: str, session: TuningSession

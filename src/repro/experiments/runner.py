@@ -342,7 +342,6 @@ def run_arcs_online(
     resume_from: str | Path | None = None,
     supervise: SuperviseConfig | None = None,
     kill_after: int | None = None,
-    batch: bool | None = None,
 ) -> StrategyRunResult:
     """ARCS-Online: Nelder-Mead tunes within the measured run.
 
@@ -442,7 +441,6 @@ def run_arcs_online(
             seed=derive_seed(setup.seed, "online", r),
             selective_threshold_s=selective_threshold_s,
             cap_aware=cap_aware,
-            batch=batch,
         )
         arcs.attach()
         supervisor = RegionSupervisor(
@@ -561,7 +559,6 @@ def run_arcs_offline(
     app: Application,
     setup: ExperimentSetup,
     history: HistoryStore | None = None,
-    batch: bool | None = None,
     source: ConfigSource | None = None,
     *,
     tuner: str = "exhaustive",
@@ -638,7 +635,6 @@ def run_arcs_offline(
             history=history,
             history_key=key,
             seed=derive_seed(setup.seed, "offline-tuning"),
-            batch=batch,
             source=source,
             source_key=source_key,
             surrogate_orders=orders,
@@ -720,7 +716,6 @@ def run_strategy(
     checkpoint_path: str | Path | None = None,
     resume_from: str | Path | None = None,
     supervise: SuperviseConfig | None = None,
-    batch: bool | None = None,
     source: ConfigSource | None = None,
     surrogate: "SurrogateTuning | None" = None,
 ) -> StrategyRunResult:
@@ -747,7 +742,6 @@ def run_strategy(
                 checkpoint_path=checkpoint_path,
                 resume_from=resume_from,
                 supervise=supervise,
-                batch=batch,
             )
         if checkpoint_path is not None or resume_from is not None:
             raise ValueError(
@@ -758,14 +752,13 @@ def run_strategy(
             return run_default(app, setup)
         if key in ("arcs-offline", "offline"):
             return run_arcs_offline(
-                app, setup, history=history, batch=batch, source=source
+                app, setup, history=history, source=source
             )
         if key == "surrogate":
             return run_arcs_offline(
                 app,
                 setup,
                 history=history,
-                batch=batch,
                 source=source,
                 tuner="surrogate",
                 surrogate=surrogate,

@@ -84,8 +84,7 @@ class NodeCell:
     def tune(self) -> list[FleetEvent]:
         """Tune locally (ARCS-Offline) at the current cap level.
 
-        Runs in a worker thread under the fleet's asyncio fan-out; it
-        touches only this cell plus the process-wide evaluation memo,
+        Touches only this cell plus the process-wide evaluation memo,
         whose hit/miss equivalence is proven by the batch test wall.
         """
         label = self.current_label()

@@ -13,9 +13,9 @@ cluster.  In strict, deterministic order it:
    power-gated ("parked") rather than left violating the budget;
 4. checks the budget invariant and records the accounted power;
 5. advances node-cells: cells needing a (re-)tune at their new cap
-   level run ARCS locally under an asyncio fan-out (same-spec nodes at
-   the same quantized cap share work through the process-wide
-   evaluation memo), everyone else makes workload progress;
+   level run ARCS locally, one node at a time (same-spec nodes at the
+   same quantized cap share work through the process-wide evaluation
+   memo), everyone else makes workload progress;
 6. collects heartbeat reports, losing them to ``fleet.telemetry``
    (drop / partition) and ``fleet.membership`` (flap) faults;
 7. feeds the delivered heartbeats to the
@@ -27,19 +27,10 @@ transition, budget action - is a typed
 :class:`~repro.fleet.events.FleetEvent` (mirrored onto the telemetry
 bus when enabled), and after every step the full fleet state is
 journaled durably so a killed run resumes byte-identically.
-
-Concurrency note: the tuning fan-out uses worker threads, which is
-safe because each cell tunes against its own simulated node and the
-process-wide memo is hit/miss-equivalent by contract; when the
-telemetry bus is enabled the fan-out is forced serial so the bus's
-sequence numbers - and therefore the JSONL logs - stay byte-identical
-run to run.
 """
 
 from __future__ import annotations
 
-import asyncio
-import os
 from dataclasses import dataclass
 
 from repro.faults.inject import FaultInjector, make_injector
@@ -67,9 +58,6 @@ from repro.util.tables import format_table
 
 #: attempts per fleet cap write before power-gating the node.
 _FLEET_CAP_WRITE_RETRY = RetryPolicy(attempts=3)
-
-#: default thread-pool width for the tuning fan-out.
-_DEFAULT_CONCURRENCY = 8
 
 
 class _FleetCapWriteRejected(RuntimeError):
@@ -164,11 +152,14 @@ class FleetSimulation:
         self.fault_plan = fault_plan
         self.journal = journal
         self.resume = resume
-        if concurrency is not None and concurrency < 1:
+        # Tunes run one node at a time.  The keyword survives only for
+        # callers that spell that out (the host-time benchmark passes
+        # ``concurrency=1``); any other width is refused.
+        if concurrency not in (None, 1):
             raise ValueError(
-                f"concurrency must be >= 1, got {concurrency}"
+                f"the fleet tunes serially; concurrency must be 1, "
+                f"got {concurrency}"
             )
-        self.concurrency = concurrency
         self.roster = [spec.node_id for spec in plan.nodes]
         self.cells = {
             spec.node_id: NodeCell(spec, plan) for spec in plan.nodes
@@ -521,40 +512,14 @@ class FleetSimulation:
             salt=(node_id,),
         )
 
-    def _tuning_concurrency(self) -> int:
-        if bus().enabled:
-            # the bus's seq counter is process-global: serial fan-out
-            # keeps telemetry JSONL byte-identical run to run.
-            return 1
-        if self.concurrency is not None:
-            return self.concurrency
-        return min(_DEFAULT_CONCURRENCY, os.cpu_count() or 1)
-
     def _run_tunes(
         self, cells: list[NodeCell]
     ) -> list[list[FleetEvent]]:
-        if not cells:
-            return []
-        width = self._tuning_concurrency()
-        if width <= 1 or len(cells) == 1:
-            out = []
-            for cell in cells:
-                with traced_span("fleet.tune", node=cell.node_id):
-                    out.append(cell.tune())
-            return out
-
-        async def fan_out() -> list[list[FleetEvent]]:
-            sem = asyncio.Semaphore(width)
-
-            async def one(cell: NodeCell) -> list[FleetEvent]:
-                async with sem:
-                    return await asyncio.to_thread(cell.tune)
-
-            return list(
-                await asyncio.gather(*(one(c) for c in cells))
-            )
-
-        return asyncio.run(fan_out())
+        out = []
+        for cell in cells:
+            with traced_span("fleet.tune", node=cell.node_id):
+                out.append(cell.tune())
+        return out
 
     # ------------------------------------------------------------------
     def _snapshot(self) -> dict:

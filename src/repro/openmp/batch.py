@@ -32,17 +32,16 @@ value, so repeated probes across Harmony restarts, cap-schedule
 re-tunes, fresh runtimes, and sweep cells hit the memo regardless of
 which engine instance computed the record first.
 
-Batching is a pure pre-computation: it fills caches with records the
-scalar path would have produced, and ``ExecutionEngine.execute`` stays
-the only side-effecting sequencing point (clock advance, energy
-deposits, OMPT event order, measurement noise).  Disable it with the
-``REPRO_NO_BATCH`` environment variable, :func:`set_batching`, or the
-CLI ``--no-batch`` escape hatch; results are identical either way.
+Batching is a pure pre-computation and always on: it fills caches
+with records the scalar path would have produced, and
+``ExecutionEngine.execute`` stays the only side-effecting sequencing
+point (clock advance, energy deposits, OMPT event order, measurement
+noise).  ``ExecutionEngine._simulate`` remains the scalar reference the
+differential tests compare every batched record against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,30 +55,13 @@ from repro.util.rng import rng_for
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.openmp.engine import ExecutionEngine
 
-#: set to a non-empty value to disable batched evaluation process-wide
-#: (the CLI's ``--no-batch`` sets it so sweep worker processes inherit
-#: the choice).
-NO_BATCH_ENV = "REPRO_NO_BATCH"
-
 #: bound on the process-wide memo; far above one sweep's working set
 #: (a full Table-I space x 13 regions x 5 caps is ~10k records).
 MEMO_LIMIT = 65536
 
-_enabled: bool = not os.environ.get(NO_BATCH_ENV)
 _memo: dict[tuple, RegionExecutionRecord] = {}
 _memo_hits: int = 0
 _memo_misses: int = 0
-
-
-def batching_enabled() -> bool:
-    """Whether batched evaluation + the process-wide memo are active."""
-    return _enabled
-
-
-def set_batching(enabled: bool) -> None:
-    """Process-wide switch (the ``--no-batch`` escape hatch)."""
-    global _enabled
-    _enabled = bool(enabled)
 
 
 def memo_key(

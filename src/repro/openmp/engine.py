@@ -18,7 +18,12 @@ Turns (region profile, OpenMP configuration, current power caps) into a
 
 The engine is deterministic; run-to-run noise is applied by the
 runtime layer.  Records are memoized on (region, config, caps) because
-applications execute identical region calls thousands of times.
+applications execute identical region calls thousands of times, first
+per engine and then in the process-wide memo of
+:mod:`repro.openmp.batch`.  :meth:`ExecutionEngine.prefetch` fills both
+for a set of candidate configs in one vectorized pass; a config nobody
+prefetched falls back to the scalar :meth:`ExecutionEngine._simulate`,
+which stays the reference the batched records are tested against.
 """
 
 from __future__ import annotations
@@ -96,22 +101,16 @@ class ExecutionEngine:
             self.node.frequency_limit_ghz,
         )
         record = self._record_cache.get(key)
-        if record is None and _batch.batching_enabled():
+        if record is None:
             # process-wide content-keyed memo: another engine (a fresh
             # runtime, an earlier sweep cell) may have computed this
             # exact evaluation already.
-            record = _batch.memo_get(
-                _batch.memo_key(self, region, config, caps)
-            )
-            if record is not None:
-                self._record_cache[key] = record
-        if record is None:
-            record = self._simulate(region, config)
+            mkey = _batch.memo_key(self, region, config, caps)
+            record = _batch.memo_get(mkey)
+            if record is None:
+                record = self._simulate(region, config)
+                _batch.memo_put(mkey, record)
             self._record_cache[key] = record
-            if _batch.batching_enabled():
-                _batch.memo_put(
-                    _batch.memo_key(self, region, config, caps), record
-                )
         # side effects: clock + energy counters
         per_socket = record.energy_j / spec.sockets
         dram_per_socket = record.dram_energy_j / spec.sockets
@@ -134,7 +133,7 @@ class ExecutionEngine:
         number of freshly computed records (cached/memoized candidates
         and configs the machine cannot run cost nothing).
         """
-        if not _batch.batching_enabled() or not configs:
+        if not configs:
             return 0
         spec = self.node.spec
         caps = self._caps()

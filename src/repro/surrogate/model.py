@@ -1,11 +1,10 @@
-"""The learned surrogate: feature-hashed ridge with tiny-MLP refinement.
+"""The learned surrogate: feature-hashed ridge regression.
 
-Zero heavy dependencies - pure numpy, closed-form ridge, optional
-one-hidden-layer refinement trained with fixed-epoch full-batch
-gradient descent.  Everything is seeded and byte-deterministic: the
-same corpus and seed produce the same weights, the same saved JSON and
-the same predictions, on every machine (feature hashing goes through
-sha256, never Python's randomized ``hash``).
+Zero heavy dependencies - pure numpy, closed-form ridge.  Everything is
+seeded and byte-deterministic: the same corpus and seed produce the
+same weights, the same saved JSON and the same predictions, on every
+machine (feature hashing goes through sha256, never Python's randomized
+``hash``).
 
 The model predicts ``log(time_per_call_s)`` for one ``(region
 features, config, cap)`` context.  Features mix three kinds of tokens:
@@ -42,11 +41,12 @@ from repro.machine.spec import machine_by_name
 from repro.openmp.types import OMPConfig
 from repro.surrogate.corpus import CorpusStats, TrainingRecord
 from repro.util.atomicio import atomic_write_text
-from repro.util.rng import rng_for
 from repro.workloads.registry import application_by_name
 
-#: bump when the serialized model layout changes.
-MODEL_SCHEMA_VERSION = 1
+#: bump when the serialized model layout changes (2: the MLP residual
+#: block is gone, so a v1 file that carries one is refused rather than
+#: loaded without it).
+MODEL_SCHEMA_VERSION = 2
 
 #: bump when the feature tokenization changes - a model hashed under a
 #: different tokenization must refuse to predict.
@@ -59,11 +59,6 @@ DEFAULT_DIM = 1024
 
 #: ridge regularization strength.
 DEFAULT_RIDGE = 1.0e-3
-
-#: tiny-MLP refinement defaults (hidden width / epochs / step size).
-MLP_HIDDEN = 24
-MLP_EPOCHS = 300
-MLP_LR = 0.05
 
 #: holdout denominator: every record whose deterministic bucket is 0
 #: (of ``_HOLDOUT_BUCKETS``) is held out of the fit.
@@ -269,7 +264,6 @@ class FitReport:
     n_unresolvable: int
     dim: int
     seed: int
-    mlp: bool
     #: median relative time error on the deterministic holdout split
     #: (``None`` when the corpus was too small to hold anything out).
     holdout_rel_err: float | None
@@ -286,7 +280,6 @@ class FitReport:
             "n_unresolvable": self.n_unresolvable,
             "dim": self.dim,
             "seed": self.seed,
-            "mlp": self.mlp,
             "holdout_rel_err": self.holdout_rel_err,
             "train_rel_err": self.train_rel_err,
             "usable": self.usable,
@@ -303,7 +296,6 @@ class FitReport:
             n_unresolvable=int(blob["n_unresolvable"]),
             dim=int(blob["dim"]),
             seed=int(blob["seed"]),
-            mlp=bool(blob["mlp"]),
             holdout_rel_err=(
                 None if blob["holdout_rel_err"] is None
                 else float(blob["holdout_rel_err"])
@@ -332,8 +324,6 @@ class SurrogateModel:
     weights: np.ndarray
     report: FitReport
     feature_version: int = FEATURE_VERSION
-    #: (W1, b1, w2, b2) of the refinement MLP, or None.
-    mlp: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
     @property
     def usable(self) -> bool:
@@ -348,12 +338,7 @@ class SurrogateModel:
         return self._predict_matrix(x[None, :])[0]
 
     def _predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        pred = x @ self.weights
-        if self.mlp is not None:
-            w1, b1, w2, b2 = self.mlp
-            hidden = np.tanh(x @ w1 + b1)
-            pred = pred + hidden @ w2 + b2
-        return pred
+        return x @ self.weights
 
     def rank(self, ctx: RegionContext, space) -> list[tuple[int, ...]]:
         """Every point of ``space`` ordered by predicted objective
@@ -400,40 +385,12 @@ def _rel_err(pred: np.ndarray, true: np.ndarray) -> float | None:
     return float(np.median(np.abs(np.expm1(delta))))
 
 
-def _fit_mlp(
-    x: np.ndarray, residual: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Fixed-epoch full-batch GD on the ridge residual (deterministic:
-    seeded init, no shuffling, fixed schedule)."""
-    rng = rng_for(seed, "surrogate-mlp")
-    n, dim = x.shape
-    w1 = rng.normal(0.0, 1.0 / math.sqrt(dim), size=(dim, MLP_HIDDEN))
-    b1 = np.zeros(MLP_HIDDEN)
-    w2 = np.zeros(MLP_HIDDEN)
-    b2 = 0.0
-    for _ in range(MLP_EPOCHS):
-        hidden = np.tanh(x @ w1 + b1)
-        pred = hidden @ w2 + b2
-        err = (pred - residual) / n
-        grad_w2 = hidden.T @ err
-        grad_b2 = float(err.sum())
-        back = np.outer(err, w2) * (1.0 - hidden**2)
-        grad_w1 = x.T @ back
-        grad_b1 = back.sum(axis=0)
-        w1 -= MLP_LR * grad_w1
-        b1 -= MLP_LR * grad_b1
-        w2 -= MLP_LR * grad_w2
-        b2 -= MLP_LR * grad_b2
-    return w1, b1, w2, b2
-
-
 def fit_surrogate(
     records: list[TrainingRecord],
     *,
     dim: int = DEFAULT_DIM,
     seed: int = 0,
     ridge: float = DEFAULT_RIDGE,
-    mlp: bool = False,
     corpus_stats: CorpusStats | None = None,
     faults: FaultInjector | None = None,
 ) -> SurrogateModel:
@@ -464,7 +421,6 @@ def fit_surrogate(
             n_unresolvable=unresolvable,
             dim=dim,
             seed=seed,
-            mlp=mlp,
             holdout_rel_err=None,
             train_rel_err=None,
             usable=False,
@@ -497,11 +453,6 @@ def fit_surrogate(
             n_holdout=len(y_hold),
         )
 
-    mlp_params = None
-    if mlp:
-        residual = y_train - x_train @ weights
-        mlp_params = _fit_mlp(x_train, residual, seed)
-
     if faults is not None:
         spec = faults.draw("surrogate.fit")
         if spec is not None:
@@ -509,11 +460,7 @@ def fit_surrogate(
             # exactly as a degenerate corpus would.
             weights = np.full(dim, np.nan)
 
-    finite = np.all(np.isfinite(weights)) and (
-        mlp_params is None
-        or all(np.all(np.isfinite(p)) for p in mlp_params[:3])
-    )
-    if not finite:
+    if not np.all(np.isfinite(weights)):
         return unusable(
             "fit produced non-finite weights",
             n_train=len(y_train),
@@ -526,10 +473,9 @@ def fit_surrogate(
         weights=weights,
         report=FitReport(  # placeholder; replaced below
             n_records=len(records), n_train=0, n_holdout=0,
-            n_unresolvable=0, dim=dim, seed=seed, mlp=mlp,
+            n_unresolvable=0, dim=dim, seed=seed,
             holdout_rel_err=None, train_rel_err=None, usable=True,
         ),
-        mlp=mlp_params,
     )
     train_err = _rel_err(model._predict_matrix(x_train), y_train)
     hold_err = _rel_err(model._predict_matrix(x_hold), y_hold)
@@ -540,7 +486,6 @@ def fit_surrogate(
         n_unresolvable=unresolvable,
         dim=dim,
         seed=seed,
-        mlp=mlp,
         holdout_rel_err=hold_err,
         train_rel_err=train_err,
         usable=True,
@@ -562,14 +507,6 @@ def save_model(model: SurrogateModel, path: str | Path) -> Path:
         "weights": [float(w) for w in model.weights],
         "report": model.report.to_json(),
     }
-    if model.mlp is not None:
-        w1, b1, w2, b2 = model.mlp
-        blob["mlp"] = {
-            "w1": [[float(v) for v in row] for row in w1],
-            "b1": [float(v) for v in b1],
-            "w2": [float(v) for v in w2],
-            "b2": float(b2),
-        }
     return atomic_write_text(path, json.dumps(blob, indent=2) + "\n")
 
 
@@ -610,23 +547,11 @@ def load_model(path: str | Path) -> SurrogateModel:
                 f"expected ({dim},)"
             )
         report = FitReport.from_json(blob["report"])
-        mlp = None
-        if blob.get("mlp") is not None:
-            m = blob["mlp"]
-            mlp = (
-                np.asarray(
-                    [[float(v) for v in row] for row in m["w1"]]
-                ),
-                np.asarray([float(v) for v in m["b1"]]),
-                np.asarray([float(v) for v in m["w2"]]),
-                float(m["b2"]),
-            )
         return SurrogateModel(
             dim=dim,
             seed=int(blob["seed"]),
             weights=weights,
             report=report,
-            mlp=mlp,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SurrogateError(

@@ -91,7 +91,6 @@ def _unusable_model(reason: str) -> SurrogateModel:
             n_unresolvable=0,
             dim=DEFAULT_DIM,
             seed=0,
-            mlp=False,
             holdout_rel_err=None,
             train_rel_err=None,
             usable=False,

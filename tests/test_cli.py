@@ -36,14 +36,22 @@ class TestParser:
         assert args.no_cache is False
         assert args.cache_dir.endswith(".cache")
 
-    def test_no_batch_flag_on_run_and_sweep(self):
-        assert build_parser().parse_args(["run"]).no_batch is False
-        assert build_parser().parse_args(
-            ["run", "--no-batch"]
-        ).no_batch is True
-        assert build_parser().parse_args(
-            ["sweep", "--no-batch"]
-        ).no_batch is True
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "run", "--concurrency", "2"],
+            ["run", "--no-batch"],
+            ["sweep", "--no-batch"],
+            ["surrogate", "fit", "--out", "model.json", "--mlp"],
+        ],
+        ids=["fleet-concurrency", "run-no-batch", "sweep-no-batch",
+             "surrogate-mlp"],
+    )
+    def test_removed_options_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:

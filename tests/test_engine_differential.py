@@ -5,8 +5,8 @@ the contract that it produces records byte-identical to the scalar
 ``ExecutionEngine._simulate`` path.  These tests drive both paths over
 a seeded random grid of (region, cap, config-set) cells and compare
 every float field bitwise, plus memo-hit vs memo-miss equivalence and
-an end-to-end ``StrategyRunResult`` JSON byte-comparison with batching
-on vs off.
+an end-to-end ``StrategyRunResult`` JSON byte-comparison of a normal
+run against one whose ``ExecutionEngine.prefetch`` does nothing.
 """
 
 from __future__ import annotations
@@ -34,14 +34,10 @@ from repro.workloads.synthetic import synthetic_application
 
 
 @pytest.fixture(autouse=True)
-def _batching_on():
-    """Run with batching enabled and an isolated memo, regardless of
-    the environment the suite was launched in."""
-    was = batch.batching_enabled()
-    batch.set_batching(True)
+def _isolated_memo():
+    """Run every test against an empty process-wide memo."""
     batch.clear_memo()
     yield
-    batch.set_batching(was)
     batch.clear_memo()
 
 
@@ -179,7 +175,7 @@ class TestMemoEquivalence:
     def test_memo_hit_equals_memo_miss(self):
         """A record served from the process-wide memo (computed by a
         different engine instance) is bit-identical to one computed
-        from scratch with batching disabled."""
+        from scratch by the scalar path on a fresh engine."""
         spec = crill()
         region = random_region(rng_for(0xD1FF, "memo"), 0)
         configs = random_configs(
@@ -196,14 +192,14 @@ class TestMemoEquivalence:
         stats = batch.memo_stats()
         assert stats["entries"] > 0
 
-        consumer = fresh_engine()
+        # one fresh engine per config, so every record is looked up
+        # under the caps the producer prefetched at (a single engine's
+        # clock would move them) and none comes from a per-engine cache
         hits_before = batch.memo_stats()["hits"]
-        memoized = [consumer.execute(region, c) for c in configs]
-        assert batch.memo_stats()["hits"] > hits_before
+        memoized = [fresh_engine().execute(region, c) for c in configs]
+        assert batch.memo_stats()["hits"] - hits_before == len(configs)
 
-        batch.set_batching(False)
-        cold = fresh_engine()
-        scratch = [cold.execute(region, c) for c in configs]
+        scratch = [fresh_engine()._simulate(region, c) for c in configs]
         for c, rm, rs in zip(configs, memoized, scratch):
             assert_records_bit_identical(rs, rm, c.label())
 
@@ -236,50 +232,35 @@ class TestEndToEndByteIdentity:
     @pytest.mark.parametrize(
         "strategy", ["default", "arcs-online", "arcs-offline"]
     )
-    def test_strategy_run_result_json_identical(self, strategy):
+    def test_strategy_run_result_json_identical(
+        self, strategy, monkeypatch
+    ):
+        """A run whose prefetch hints are honoured is byte-identical to
+        one where every record comes from the scalar path."""
         app = synthetic_application(timesteps=8)
         setup = ExperimentSetup(
             spec=crill(), cap_w=85.0, repeats=1, seed=0
         )
 
-        def run(enabled: bool) -> str:
-            batch.set_batching(enabled)
+        def run() -> str:
             batch.clear_memo()
             result = run_strategy(strategy, app, setup)
             return json.dumps(
                 result_to_json(result), sort_keys=True
             )
 
-        assert run(True) == run(False)
+        computed = []
+        real_prefetch = ExecutionEngine.prefetch
 
-    def test_explicit_batch_flag_overrides_global(self, monkeypatch):
-        """batch=False on the runner suppresses prefetch hinting even
-        while the process-wide switch is on - and results stay
-        identical."""
-        app = synthetic_application(timesteps=6)
-        setup = ExperimentSetup(
-            spec=crill(), cap_w=85.0, repeats=1, seed=3
-        )
-        calls = []
-        real_evaluate = batch.BatchEvaluator.evaluate
+        def counting_prefetch(self, region, configs):
+            computed.append(real_prefetch(self, region, configs))
+            return computed[-1]
 
-        def counting_evaluate(self, region, configs):
-            calls.append(len(configs))
-            return real_evaluate(self, region, configs)
-
+        monkeypatch.setattr(ExecutionEngine, "prefetch", counting_prefetch)
+        batched = run()
+        # the tuning strategies must really have batch-computed records
+        assert (sum(computed) > 0) == (strategy != "default")
         monkeypatch.setattr(
-            batch.BatchEvaluator, "evaluate", counting_evaluate
+            ExecutionEngine, "prefetch", lambda self, region, configs: 0
         )
-        batch.clear_memo()
-        forced_off = run_strategy(
-            "arcs-online", app, setup, batch=False
-        )
-        assert not calls
-        batch.clear_memo()
-        forced_on = run_strategy(
-            "arcs-online", app, setup, batch=True
-        )
-        assert calls
-        assert json.dumps(
-            result_to_json(forced_off), sort_keys=True
-        ) == json.dumps(result_to_json(forced_on), sort_keys=True)
+        assert run() == batched

@@ -47,6 +47,7 @@ from repro.fleet.events import (
     FAULT_DEGRADATIONS,
     FleetEvent,
 )
+from repro.telemetry.bus import TelemetryBus, install
 from repro.util.jsonlog import LogMismatchError
 
 _EPS = 1e-6
@@ -221,6 +222,28 @@ class TestChaos:
         plan = synthesize_fleet(2)
         with pytest.raises(ValueError, match="stop_after"):
             FleetSimulation(plan, stop_after=-1)
+        # the fleet tunes serially: only a width of 1 is accepted
+        FleetSimulation(plan, concurrency=1)
+        with pytest.raises(ValueError, match="serially"):
+            FleetSimulation(plan, concurrency=2)
+
+    def test_traced_run_matches_untraced(
+        self, tmp_path, crash_run, crash_faults
+    ):
+        """With the telemetry bus enabled the faulted fleet takes the
+        same serial tuning path, so its result is byte-identical to
+        the untraced run's."""
+        plan, _journal, untraced = crash_run
+        previous = install(TelemetryBus(enabled=True))
+        try:
+            traced = FleetSimulation(
+                plan,
+                crash_faults,
+                journal=FleetJournal(tmp_path / "traced.jsonl"),
+            ).run()
+        finally:
+            install(previous)
+        assert _result_json(traced) == _result_json(untraced)
 
 
 class TestCleanRun:

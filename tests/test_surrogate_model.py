@@ -156,16 +156,6 @@ class TestFitDeterminism:
             tmp / "b.json"
         ).read_bytes()
 
-    @settings(max_examples=3, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_mlp_refinement_is_deterministic(self, corpus, seed):
-        a = fit_surrogate(corpus, seed=seed, mlp=True)
-        b = fit_surrogate(corpus, seed=seed, mlp=True)
-        assert a.mlp is not None and b.mlp is not None
-        for pa, pb in zip(a.mlp[:3], b.mlp[:3]):
-            assert (pa == pb).all()
-        assert a.mlp[3] == b.mlp[3]
-
 
 class TestPredictionFiniteness:
     @BOUNDED
@@ -225,15 +215,12 @@ class TestTopKRecall:
 
 class TestPersistenceRoundTrip:
     @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        mlp=st.booleans(),
-    )
+    @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_save_load_predict_round_trips_bytes(
-        self, corpus, tmp_path_factory, seed, mlp
+        self, corpus, tmp_path_factory, seed
     ):
         tmp = tmp_path_factory.mktemp("roundtrip")
-        fitted = fit_surrogate(corpus, seed=seed, mlp=mlp)
+        fitted = fit_surrogate(corpus, seed=seed)
         save_model(fitted, tmp / "m.json")
         loaded = load_model(tmp / "m.json")
         save_model(loaded, tmp / "m2.json")
@@ -307,10 +294,26 @@ class TestLoadErrors:
         with pytest.raises(SurrogateError, match="cannot read"):
             load_model(path)
 
-    def test_wrong_schema(self, tmp_path):
+    def test_wrong_schema(self, tmp_path, corpus):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"schema": MODEL_SCHEMA_VERSION + 1}))
         with pytest.raises(SurrogateError, match="unsupported schema"):
+            load_model(path)
+        # a v1 model carrying MLP residual weights is refused, never
+        # loaded with its residual silently dropped
+        fitted = fit_surrogate(corpus[:40], seed=0)
+        save_model(fitted, path)
+        blob = json.loads(path.read_text())
+        blob["schema"] = 1
+        blob["report"]["mlp"] = True
+        blob["mlp"] = {
+            "w1": [[0.0] * 2] * fitted.dim,
+            "b1": [0.0, 0.0],
+            "w2": [0.5, -0.5],
+            "b2": 0.1,
+        }
+        path.write_text(json.dumps(blob))
+        with pytest.raises(SurrogateError, match="unsupported schema 1"):
             load_model(path)
 
     def test_wrong_feature_version(self, tmp_path, corpus):
