@@ -75,7 +75,7 @@ def build_app() -> Application:
 
 def main() -> None:
     with TemporaryDirectory() as tmp:
-        history_path = Path(tmp) / "arcs_history.json"
+        history_path = Path(tmp) / "arcs_history.jsonl"
         app = build_app()
         key = experiment_key(app.name, "crill", 70.0, app.workload)
 

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--repeats", type=int, default=3)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--history", default=None,
-                     help="path to an ARCS history JSON file")
+                     help="path to an ARCS history log")
     run.add_argument("--faults", default=None, metavar="PLAN.JSON",
                      help="fault-injection plan (see examples/"
                           "faultplan.json); omit for a clean run")
@@ -649,12 +649,13 @@ def _cmd_run(args: argparse.Namespace) -> str:
         else:
             result = _execute()
     except CheckpointError as exc:
-        # unreadable / mismatched checkpoint: actionable, not a bug
+        # missing or damaged checkpoint: actionable, not a bug
         raise SystemExit(f"error: {exc}") from exc
     except RunAbortedError as exc:
         raise SystemExit(f"error: {exc}") from exc
     except ValueError as exc:
-        # e.g. --checkpoint with a non-online strategy
+        # e.g. --checkpoint with a non-online strategy, or a
+        # --resume-from checkpoint another experiment wrote
         raise SystemExit(f"error: {exc}") from exc
     cap = "TDP" if args.cap is None else f"{args.cap:g}W"
     lines = [

@@ -1,22 +1,28 @@
-"""The ARCS history file.
+"""The ARCS history log.
 
 "When the program completes, the policy saves the best parameters
 found during the search.  When the same program is run again in the
 same configuration in the future, the saved values can be used instead
 of repeating the search process."  (Section III-B)
 
-Stored as JSON keyed by an experiment key (application | machine |
-power cap | workload), mapping region names to their best configuration
-and its measured objective.
+A file-backed store is a :class:`~repro.util.jsonlog.JsonLog` with one
+record per experiment key (application | machine | power cap |
+workload): ``{"key", "regions"}``, mapping region names to their best
+configuration and its measured objective.  Every save rewrites the log
+atomically; opening a log with any damaged or foreign line raises
+:class:`CorruptHistoryError` and leaves the file untouched.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.openmp.types import OMPConfig, ScheduleKind
-from repro.util.atomicio import atomic_write_text
+from repro.openmp.types import OMPConfig
+from repro.util.jsonlog import JsonLog
+
+#: bump when the record layout changes; a log of another schema is
+#: refused on open.
+HISTORY_SCHEMA_VERSION = 1
 
 
 class HistoryKeyMissing(KeyError):
@@ -44,11 +50,10 @@ class HistoryKeyMissing(KeyError):
 
 
 class CorruptHistoryError(RuntimeError):
-    """A history file on disk exists but does not parse as a history.
+    """A history log on disk has damaged or foreign lines.
 
-    Raised on load instead of a raw :class:`json.JSONDecodeError` so
-    the message names the offending path (a truncated file left behind
-    by a crash used to surface as an inscrutable decode error).
+    Raised on open, naming the path, so a truncated or tampered file
+    is refused outright instead of replaying part of a history.
     """
 
     def __init__(self, path: Path, reason: str) -> None:
@@ -59,23 +64,18 @@ class CorruptHistoryError(RuntimeError):
         )
 
 
-def _config_to_json(config: OMPConfig, value: float | None) -> dict:
-    return {
-        "n_threads": config.n_threads,
-        "schedule": config.schedule.value,
-        "chunk": config.chunk,
-        "value": value,
-    }
+def region_to_json(config: OMPConfig, value: float | None) -> dict:
+    """One region's saved entry: its config plus its objective."""
+    return {**config.to_json(), "value": value}
 
 
-def _config_from_json(blob: dict) -> tuple[OMPConfig, float | None]:
-    config = OMPConfig(
-        n_threads=int(blob["n_threads"]),
-        schedule=ScheduleKind(blob["schedule"]),
-        chunk=None if blob["chunk"] is None else int(blob["chunk"]),
-    )
+def region_from_json(blob: dict) -> tuple[OMPConfig, float | None]:
     value = blob.get("value")
-    return config, None if value is None else float(value)
+    return OMPConfig.from_json(blob), None if value is None else float(value)
+
+
+class _HistoryLog(JsonLog):
+    schema = HISTORY_SCHEMA_VERSION
 
 
 class HistoryStore:
@@ -83,23 +83,28 @@ class HistoryStore:
 
     Pass ``path=None`` for a purely in-memory store (used by the
     experiment harness, which holds tuning and measured runs in one
-    process); pass a path to persist across processes.
+    process; nothing is encoded); pass a path to persist across
+    processes.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = None if path is None else Path(path)
-        self._data: dict[str, dict[str, dict]] = {}
-        if self.path is not None and self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-            except json.JSONDecodeError as exc:
-                raise CorruptHistoryError(self.path, str(exc)) from exc
-            if not isinstance(data, dict):
-                raise CorruptHistoryError(
-                    self.path,
-                    f"expected a JSON object, got {type(data).__name__}",
-                )
-            self._data = data
+        #: experiment key -> region -> (best config, its objective)
+        self._data: dict[str, dict[str, tuple[OMPConfig, float | None]]] = {}
+        if self.path is None:
+            return
+        scan = _HistoryLog(self.path).scan()
+        if scan.damaged or scan.foreign:
+            raise CorruptHistoryError(
+                self.path,
+                f"{scan.damaged} damaged and {scan.foreign} foreign "
+                "line(s)",
+            )
+        for record in scan.records:
+            self._data[record["key"]] = {
+                region: region_from_json(blob)
+                for region, blob in record["regions"].items()
+            }
 
     # ------------------------------------------------------------------
     def save(
@@ -111,7 +116,7 @@ class HistoryStore:
         """Record best configs for experiment ``key`` and persist."""
         values = values or {}
         self._data[key] = {
-            region: _config_to_json(cfg, values.get(region))
+            region: (cfg, values.get(region))
             for region, cfg in configs.items()
         }
         self._persist()
@@ -120,22 +125,16 @@ class HistoryStore:
         """Best configs per region for ``key``
         (:class:`HistoryKeyMissing` if absent)."""
         try:
-            blob = self._data[key]
+            entries = self._data[key]
         except KeyError:
             raise HistoryKeyMissing(
                 key, self.path, tuple(self.keys())
             ) from None
-        return {
-            region: _config_from_json(entry)[0]
-            for region, entry in blob.items()
-        }
+        return {region: cfg for region, (cfg, _) in entries.items()}
 
     def load_values(self, key: str) -> dict[str, float | None]:
-        blob = self._data.get(key, {})
-        return {
-            region: _config_from_json(entry)[1]
-            for region, entry in blob.items()
-        }
+        entries = self._data.get(key, {})
+        return {region: value for region, (_, value) in entries.items()}
 
     def has(self, key: str) -> bool:
         return key in self._data
@@ -144,12 +143,23 @@ class HistoryStore:
         return sorted(self._data)
 
     def _persist(self) -> None:
-        """Write atomically (temp file + ``os.replace``) so a crash —
-        or a parallel worker dying mid-write — never leaves a
-        half-written history behind."""
+        """Rewrite the log atomically, so a crash - or a parallel
+        worker dying mid-write - never leaves a half-written history
+        behind."""
         if self.path is None:
             return
-        atomic_write_text(self.path, json.dumps(self._data, indent=2))
+        _HistoryLog(self.path).rewrite(
+            [
+                {
+                    "key": key,
+                    "regions": {
+                        region: region_to_json(cfg, value)
+                        for region, (cfg, value) in entries.items()
+                    },
+                }
+                for key, entries in self._data.items()
+            ]
+        )
 
 
 def experiment_key(

@@ -534,6 +534,31 @@ class ParallelSweepExecutor:
         hang_s = spec.magnitude or DEFAULT_HANG_S
         return functools.partial(_injected_hang, self.task_fn, hang_s)
 
+    def _failed(
+        self, task: SweepTask, attempt: int, exc: BaseException
+    ) -> None:
+        """Handle one failed attempt: raise :class:`SweepTaskError`
+        when the failure is fatal or out of retries, otherwise announce
+        the retry (the caller then runs it)."""
+        if isinstance(exc, SweepTaskError):
+            # already classified and wrapped (a nested executor, or a
+            # task_fn that raised one directly): re-wrapping here would
+            # bury the original task/attempt/cause a level deeper, so
+            # pass it through untouched.
+            raise exc
+        if _is_fatal(exc):
+            raise SweepTaskError(task, attempt, exc, retryable=False) from exc
+        if attempt > self.retries:
+            raise SweepTaskError(task, attempt, exc) from exc
+        bus().emit(
+            "sweep.task_retry",
+            task=task.label,
+            run_id=task.run_id(),
+            attempt=attempt,
+            error=type(exc).__name__,
+            cause=_cause_name(exc),
+        )
+
     def _run_inline(self, task: SweepTask) -> StrategyRunResult:
         attempt = 0
         while True:
@@ -546,27 +571,8 @@ class ParallelSweepExecutor:
             )
             try:
                 result = self._attempt_fn(task)(task)
-            except SweepTaskError:
-                # already classified and wrapped (a nested executor, or
-                # a task_fn that raised one directly): re-wrapping here
-                # would bury the original task/attempt/cause a level
-                # deeper, so pass it through untouched.
-                raise
             except _CLASSIFIED_TYPES as exc:
-                if _is_fatal(exc):
-                    raise SweepTaskError(
-                        task, attempt, exc, retryable=False
-                    ) from exc
-                if attempt > self.retries:
-                    raise SweepTaskError(task, attempt, exc) from exc
-                bus().emit(
-                    "sweep.task_retry",
-                    task=task.label,
-                    run_id=task.run_id(),
-                    attempt=attempt,
-                    error=type(exc).__name__,
-                    cause=_cause_name(exc),
-                )
+                self._failed(task, attempt, exc)
             else:
                 self._record(task, result)
                 return result
@@ -605,26 +611,8 @@ class ParallelSweepExecutor:
                 cursor += 1
                 try:
                     result = future.result(timeout=self.timeout_s)
-                except SweepTaskError:
-                    # see _run_inline: never double-wrap.
-                    raise
                 except _CLASSIFIED_TYPES as exc:
-                    if _is_fatal(exc):
-                        raise SweepTaskError(
-                            tasks[i], attempt, exc, retryable=False
-                        ) from exc
-                    if attempt > self.retries:
-                        raise SweepTaskError(
-                            tasks[i], attempt, exc
-                        ) from exc
-                    bus().emit(
-                        "sweep.task_retry",
-                        task=tasks[i].label,
-                        run_id=tasks[i].run_id(),
-                        attempt=attempt,
-                        error=type(exc).__name__,
-                        cause=_cause_name(exc),
-                    )
+                    self._failed(tasks[i], attempt, exc)
                     inflight.append(
                         (
                             i,

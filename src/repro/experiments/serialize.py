@@ -1,7 +1,6 @@
 """JSON codecs for the leaf measurement records.
 
-These round-trip :class:`~repro.openmp.types.OMPConfig`,
-:class:`~repro.openmp.records.RegionTotals`,
+These round-trip :class:`~repro.openmp.records.RegionTotals`,
 :class:`~repro.workloads.base.AppRunResult` and
 :class:`~repro.core.overhead.OverheadReport` through plain JSON with
 full float fidelity (Python serializes floats via ``repr``, so values
@@ -20,7 +19,6 @@ import hashlib
 
 from repro.core.overhead import OverheadReport
 from repro.openmp.records import RegionTotals
-from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.workloads.base import Application, AppRunResult
 
 
@@ -32,22 +30,6 @@ def app_fingerprint(app: Application) -> str:
     in timesteps or region characterization never collide.
     """
     return hashlib.sha256(repr(app).encode()).hexdigest()[:16]
-
-
-def config_to_json(config: OMPConfig) -> dict:
-    return {
-        "n_threads": config.n_threads,
-        "schedule": config.schedule.value,
-        "chunk": config.chunk,
-    }
-
-
-def config_from_json(blob: dict) -> OMPConfig:
-    return OMPConfig(
-        n_threads=int(blob["n_threads"]),
-        schedule=ScheduleKind(blob["schedule"]),
-        chunk=None if blob["chunk"] is None else int(blob["chunk"]),
-    )
 
 
 def totals_to_json(totals: RegionTotals) -> dict:

@@ -51,6 +51,23 @@ class OMPConfig:
         ``"16, guided, 8"`` or ``"32, static, default"``."""
         return _cached_label(self)
 
+    def to_json(self) -> dict:
+        """The one JSON form every store, journal and payload uses
+        (key order fixed: digests and goldens depend on it)."""
+        return {
+            "n_threads": self.n_threads,
+            "schedule": self.schedule.value,
+            "chunk": self.chunk,
+        }
+
+    @classmethod
+    def from_json(cls, blob: dict) -> OMPConfig:
+        return cls(
+            n_threads=int(blob["n_threads"]),
+            schedule=ScheduleKind(blob["schedule"]),
+            chunk=None if blob["chunk"] is None else int(blob["chunk"]),
+        )
+
 
 @lru_cache(maxsize=None)
 def _cached_label(config: OMPConfig) -> str:

@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.history import (
     HistoryStore,
-    _config_from_json,
-    _config_to_json,
+    region_from_json,
+    region_to_json,
 )
 from repro.faults.plan import plan_fingerprint
 from repro.openmp.types import OMPConfig
@@ -119,7 +119,7 @@ def entry_to_payload(key: ConfigKey, entry: Entry) -> dict:
         "schema": KNOWLEDGE_SCHEMA_VERSION,
         "experiment": key.experiment,
         "regions": {
-            region: _config_to_json(cfg, values.get(region))
+            region: region_to_json(cfg, values.get(region))
             for region, cfg in configs.items()
         },
     }
@@ -139,7 +139,7 @@ def payload_to_entry(payload: dict) -> Entry:
     configs: dict[str, OMPConfig] = {}
     values: dict[str, float | None] = {}
     for region, blob in regions.items():
-        configs[region], values[region] = _config_from_json(blob)
+        configs[region], values[region] = region_from_json(blob)
     return configs, values
 
 

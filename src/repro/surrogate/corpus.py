@@ -5,14 +5,16 @@ one tidy list of :class:`TrainingRecord`\\ s - flat scalar-cell rows in
 the :mod:`repro.analysis.records` convention, each stamped with its
 schema version and provenance:
 
-* the result cache (``results/.cache/<digest>.json``): measured
+* the result cache (``results/.cache/<digest>.jsonl``): measured
   ARCS-Offline cells carry per-region totals *and* the single
   configuration each region replayed, so time-per-call is attributable
   to one config;
-* crash-safe sweep journals: the same full-fidelity results, one JSON
-  line per completed cell.  Lines whose schema version does not match
-  are **skipped and counted** - a mixed-version journal (written
-  across an upgrade) must never abort a fold halfway through;
+* crash-safe sweep journals: the same full-fidelity results, one log
+  line per completed cell.  Cache entries and journals are both
+  :class:`~repro.util.jsonlog.JsonLog` files folded by one scan: lines
+  whose schema version does not match are **skipped and counted** - a
+  mixed-version journal (written across an upgrade) must never abort
+  a fold halfway through;
 * telemetry JSONL: ``policy.apply`` / ``policy.report`` event pairs
   from search-mode runs - the richest source, one record per accepted
   probe measurement, config and cap taken from the apply event.
@@ -28,15 +30,17 @@ the Nelder-Mead fallback) instead of crashing it.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.experiments.cache import CACHE_SCHEMA_VERSION, result_from_json
+from repro.experiments.cache import CacheEntryLog, result_from_json
 from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import StrategyRunResult
 from repro.faults.inject import FaultInjector
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.util.atomicio import atomic_write_text
+from repro.util.jsonlog import JsonLog
 
 #: bump when the training-record layout changes; mismatched corpus
 #: files refuse to load (the corpus is cheap to re-extract).
@@ -209,73 +213,31 @@ def fold_result(
     return records
 
 
-def fold_cache_dir(
-    directory: str | Path,
+def _fold_log(
+    log: JsonLog,
+    source: str,
+    provenance: Callable[[str], str],
     stats: CorpusStats,
-    faults: FaultInjector | None = None,
+    faults: FaultInjector | None,
 ) -> list[TrainingRecord]:
-    """Fold every readable entry of a result-cache directory."""
-    directory = Path(directory)
-    records: list[TrainingRecord] = []
-    if not directory.is_dir():
-        return records
-    for path in sorted(directory.glob("*.json")):
-        stats.files += 1
-        try:
-            blob = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            stats.skipped_damaged += 1
-            stats.note(f"unreadable cache entry {path.name}; skipped")
-            continue
-        if (
-            not isinstance(blob, dict)
-            or blob.get("schema") != CACHE_SCHEMA_VERSION
-        ):
-            stats.skipped_schema += 1
-            continue
-        try:
-            result = result_from_json(blob["result"])
-        except (KeyError, TypeError, ValueError, IndexError):
-            stats.skipped_damaged += 1
-            stats.note(f"corrupt cache entry {path.name}; skipped")
-            continue
-        records.extend(
-            fold_result(
-                result,
-                source="cache",
-                provenance=path.stem,
-                stats=stats,
-                faults=faults,
-            )
-        )
-    return records
-
-
-def fold_journal(
-    path: str | Path,
-    stats: CorpusStats,
-    faults: FaultInjector | None = None,
-) -> list[TrainingRecord]:
-    """Fold the completed cells of one sweep journal.
+    """Fold the cells of one cache entry or sweep journal.
 
     Read-only (:meth:`~repro.util.jsonlog.JsonLog.scan`, never the
-    repairing load): a fold must never mutate the sweep's own recovery
-    log.  Lines that fail their checksum and lines of another schema
-    version are skipped and counted - never raised mid-fold - so
-    damaged journals and journals spanning a schema upgrade still
-    contribute every line they can.
+    repairing load): a fold must never mutate a store's own recovery
+    state.  Damaged and foreign-schema lines are skipped and counted,
+    never raised mid-fold, so damaged logs and logs spanning a schema
+    upgrade still contribute every line they can.  ``provenance`` maps
+    a cell's digest to its records' provenance tag.
     """
-    path = Path(path)
-    records: list[TrainingRecord] = []
-    if not path.is_file():
-        stats.note(f"unreadable journal {path.name}; skipped")
-        return records
     stats.files += 1
-    scan = SweepJournal(path).scan()
+    scan = log.scan()
     stats.skipped_schema += scan.foreign
     if scan.damaged:
         stats.skipped_damaged += scan.damaged
-        stats.note(f"torn/corrupt journal line in {path.name}; skipped")
+        stats.note(
+            f"torn/corrupt {source} line in {log.path.name}; skipped"
+        )
+    records: list[TrainingRecord] = []
     for blob in scan.records:
         try:
             result = result_from_json(blob["result"])
@@ -283,19 +245,53 @@ def fold_journal(
         except (KeyError, TypeError, ValueError, IndexError):
             stats.skipped_damaged += 1
             stats.note(
-                f"corrupt journal record in {path.name}; skipped"
+                f"corrupt {source} record in {log.path.name}; skipped"
             )
             continue
         records.extend(
             fold_result(
                 result,
-                source="journal",
-                provenance=f"{path.stem}:{digest[:16]}",
+                source=source,
+                provenance=provenance(digest),
                 stats=stats,
                 faults=faults,
             )
         )
     return records
+
+
+def fold_cache_dir(
+    directory: str | Path,
+    stats: CorpusStats,
+    faults: FaultInjector | None = None,
+) -> list[TrainingRecord]:
+    """Fold every verified entry of a result-cache directory."""
+    return [
+        record
+        for path in sorted(Path(directory).glob("*.jsonl"))
+        for record in _fold_log(
+            CacheEntryLog(path), "cache", str, stats, faults
+        )
+    ]
+
+
+def fold_journal(
+    path: str | Path,
+    stats: CorpusStats,
+    faults: FaultInjector | None = None,
+) -> list[TrainingRecord]:
+    """Fold the completed cells of one sweep journal (read-only)."""
+    path = Path(path)
+    if not path.is_file():
+        stats.note(f"unreadable journal {path.name}; skipped")
+        return []
+    return _fold_log(
+        SweepJournal(path),
+        "journal",
+        lambda digest: f"{path.stem}:{digest[:16]}",
+        stats,
+        faults,
+    )
 
 
 # ---------------------------------------------------------------------------

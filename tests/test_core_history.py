@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.history import (
+    HISTORY_SCHEMA_VERSION,
     CorruptHistoryError,
     HistoryStore,
     experiment_key,
 )
 from repro.openmp.types import OMPConfig, ScheduleKind
+from repro.util.jsonlog import encode
 
 
 def configs():
@@ -77,19 +79,36 @@ class TestPersistence:
 class TestCorruption:
     def test_truncated_file_raises_clear_error(self, tmp_path):
         """A crash mid-write used to surface later as a raw
-        JSONDecodeError; the error must now name the bad path."""
-        path = tmp_path / "h.json"
-        path.write_text('{"k": {"r": {"n_threads":')
-        with pytest.raises(CorruptHistoryError) as err:
+        JSONDecodeError; the error must name the bad path and leave
+        the file as it found it."""
+        path = tmp_path / "h.jsonl"
+        HistoryStore(path).save("k", configs(), {"x_solve": 1.5})
+        path.write_bytes(path.read_bytes()[:-20])
+        before = path.read_bytes()
+        with pytest.raises(CorruptHistoryError, match="1 damaged") as err:
             HistoryStore(path)
         assert str(path) in str(err.value)
         assert err.value.path == path
+        assert path.read_bytes() == before
 
     def test_wrong_top_level_type_raises(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text("[1, 2, 3]")
-        with pytest.raises(CorruptHistoryError, match="JSON object"):
+        with pytest.raises(CorruptHistoryError, match="1 damaged"):
             HistoryStore(path)
+
+    def test_foreign_schema_raises(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_bytes(
+            encode({"key": "k", "regions": {}}, HISTORY_SCHEMA_VERSION + 1)
+        )
+        with pytest.raises(CorruptHistoryError, match="1 foreign"):
+            HistoryStore(path)
+
+    def test_empty_file_is_an_empty_store(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_bytes(b"")
+        assert HistoryStore(path).keys() == []
 
     def test_failed_write_preserves_previous_contents(
         self, tmp_path, monkeypatch

@@ -164,7 +164,7 @@ class TestCacheIntegration:
         )
         assert first.results[("85W", "arcs-offline")].tuning_runs >= 1
 
-        for path in cache.root.glob("*.json"):   # results only
+        for path in cache.root.glob("*.jsonl"):   # results only
             path.unlink()
         rerun = power_sweep(
             app, crill(), (85.0,), repeats=1, cache=cache
@@ -273,8 +273,9 @@ class TestBugfixRegressions:
     def test_corrupt_history_file_names_the_path(self, tmp_path):
         """(3) a half-written history file used to surface as a raw
         JSONDecodeError with no path."""
-        path = tmp_path / "history.json"
-        path.write_text('{"k": {"r": {"n_threads": 4,')
+        path = tmp_path / "history.jsonl"
+        HistoryStore(path).save("k", {"r": OMPConfig(4)})
+        path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(CorruptHistoryError) as err:
             HistoryStore(path)
         assert str(path) in str(err.value)

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.experiments.cache import (
-    CACHE_SCHEMA_VERSION,
+    CacheEntryLog,
     ExperimentCache,
     result_to_json,
 )
@@ -97,18 +97,25 @@ class TestFoldCacheDir:
         self, tmp_path, offline_result
     ):
         cache = ExperimentCache(tmp_path)
-        cache.put(APP, offline_setup(), "arcs-offline", offline_result)
-        (tmp_path / "torn.json").write_text('{"schema": ')
-        (tmp_path / "old.json").write_text(
-            json.dumps({"schema": CACHE_SCHEMA_VERSION + 1})
+        path = cache.put(
+            APP, offline_setup(), "arcs-offline", offline_result
         )
+        data = path.read_bytes()
+        (tmp_path / "torn.jsonl").write_bytes(data[: len(data) // 2])
+        (tmp_path / "old.jsonl").write_bytes(
+            encode({"digest": "0" * 64}, CacheEntryLog.schema + 1)
+        )
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         stats = CorpusStats()
         records = fold_cache_dir(tmp_path, stats)
         assert len(records) == REGION_COUNT
+        assert all(r.provenance == path.stem for r in records)
         assert stats.files == 3
         assert stats.skipped_damaged == 1
         assert stats.skipped_schema == 1
-        assert any("unreadable" in n for n in stats.notes)
+        assert any("torn/corrupt cache" in n for n in stats.notes)
+        # read-only, like the journal fold
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_directory_is_empty_not_an_error(self, tmp_path):
         stats = CorpusStats()

@@ -12,7 +12,10 @@ checkpoint.  The soak asserts, per kill point:
   checkpoint left behind is finite;
 * **monotone best** - every checkpointed tuning session's recorded
   best matches the minimum of the objective values it was told (the
-  best can only improve as measurements accumulate).
+  best can only improve as measurements accumulate);
+* **tamper refusal** - on the first iteration, the checkpoint left by
+  the first kill with one byte flipped must be refused with
+  ``CheckpointError`` before the intact file is resumed.
 
 With ``--service`` the soak instead exercises the tuning-service
 degradation chain: each iteration boots a real daemon, runs a
@@ -44,6 +47,7 @@ import time
 from pathlib import Path
 
 from repro.core.capschedule import CapEvent, CapSchedule
+from repro.core.checkpoint import CheckpointError
 from repro.experiments.cache import result_to_json
 from repro.experiments.resumable import (
     SimulatedKill,
@@ -184,6 +188,31 @@ def _assert_monotone_best(checkpoint: dict, where: str) -> None:
             )
 
 
+def _assert_tamper_refused(
+    app, setup, ck: Path, rng: random.Random
+) -> None:
+    """A checkpoint with one flipped byte must be refused, never
+    resumed; the intact file is put back afterwards."""
+    intact = ck.read_bytes()
+    offset = rng.randrange(len(intact))
+    ck.write_bytes(
+        intact[:offset]
+        + bytes([intact[offset] ^ 0x01])
+        + intact[offset + 1 :]
+    )
+    try:
+        run_arcs_online(app, setup, resume_from=ck)
+    except CheckpointError:
+        pass
+    else:
+        raise AssertionError(
+            f"{ck.name}: a checkpoint with byte {offset} flipped was "
+            "resumed instead of refused"
+        )
+    finally:
+        ck.write_bytes(intact)
+
+
 def _iteration(
     iteration: int, seed: int, kill_points: int, tmp: Path
 ) -> int:
@@ -211,7 +240,7 @@ def _iteration(
         rng.sample(range(1, total), min(kill_points, total - 1))
     )
     for kill in kills:
-        ck = tmp / f"soak-{iteration}-{kill}.json"
+        ck = tmp / f"soak-{iteration}-{kill}.jsonl"
         try:
             run_arcs_online(
                 app, setup, checkpoint_path=ck, kill_after=kill
@@ -226,6 +255,8 @@ def _iteration(
         where = f"iter {iteration} kill {kill} checkpoint"
         _assert_finite(checkpoint, where)
         _assert_monotone_best(checkpoint, where)
+        if iteration == 0 and kill == kills[0]:
+            _assert_tamper_refused(app, setup, ck, rng)
 
         resumed = run_arcs_online(app, setup, resume_from=ck)
         got = result_to_json(resumed)
