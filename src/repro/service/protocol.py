@@ -23,6 +23,7 @@ source of truth for framing and validation.
 from __future__ import annotations
 
 import json
+import math
 
 #: bump when the wire layout changes; daemon and client refuse
 #: mismatched peers instead of mis-parsing them.
@@ -49,13 +50,28 @@ def encode(message: dict) -> bytes:
     ).encode()
 
 
+def _non_finite(literal: str) -> float:
+    raise ProtocolError(f"frame holds a non-finite number {literal}")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _non_finite(literal)
+    return value
+
+
 def decode(line: bytes | str) -> dict:
     """Parse one frame; raises :class:`ProtocolError` on anything that
-    is not a JSON object."""
+    is not a JSON object, and on ``NaN``/``Infinity`` or a float that
+    overflows: the store's logs hold strict JSON only, so a
+    non-finite payload is refused here, where it enters."""
     if isinstance(line, bytes):
         line = line.decode(errors="replace")
     try:
-        blob = json.loads(line)
+        blob = json.loads(
+            line, parse_constant=_non_finite, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict):

@@ -201,6 +201,31 @@ class TestDaemonClient:
         # other tenants are unaffected
         assert ServiceClient(daemon.address).ping()["ok"] is True
 
+    @pytest.mark.parametrize("literal", [b"NaN", b"-Infinity", b"1e999"])
+    def test_non_finite_put_is_refused_and_persistence_survives(
+        self, tmp_path, literal
+    ):
+        """A put whose payload is not strict JSON gets an error reply;
+        it never reaches the store, so other tenants' puts still flush
+        and the shutdown fsync + compaction still succeed."""
+        with ThreadedDaemon(tmp_path / "store") as td:
+            with socket.create_connection(td.address, timeout=5) as s:
+                s.settimeout(5)
+                frame = b'{"schema":%d,"op":"put","key":"bad",' % (
+                    protocol.PROTOCOL_VERSION
+                )
+                s.sendall(frame + b'"payload":{"v":%s}}\n' % literal)
+                response = json.loads(s.makefile().readline())
+                assert response["ok"] is False
+                assert "non-finite" in response["error"]
+            client = ServiceClient(td.address)
+            client.put("good", {"v": 1.5})
+            assert client.get("bad") is None
+        with ThreadedDaemon(tmp_path / "store") as td:
+            client = ServiceClient(td.address)
+            assert client.get("good") == {"v": 1.5}
+            assert client.get("bad") is None
+
     def test_daemon_persists_on_shutdown(self, tmp_path):
         with ThreadedDaemon(tmp_path / "store") as td:
             ServiceClient(td.address).put("k", {"v": 7})
