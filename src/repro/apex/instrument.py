@@ -55,6 +55,9 @@ class ApexOmptBridge:
         self.timer_repairs = 0
         #: measured intervals corrupted by an injected noise spike.
         self.noise_spikes = 0
+        #: energy of one instrumented event by socket-0 package cap: a
+        #: pure function of the cap, needed twice per region invocation
+        self._event_energy_j: dict[float | None, float] = {}
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -93,14 +96,15 @@ class ApexOmptBridge:
         node = self.runtime.node
         node.advance(APEX_EVENT_OVERHEAD_S)
         self.instrumentation_time_s += APEX_EVENT_OVERHEAD_S
-        f = node.frequency.frequency_for_cap(
-            node.rapl.effective_cap_w(0, node.now_s), n_active=1
-        )
-        node.deposit_energy(
-            0,
-            (node.power.core_dynamic_w(f) + node.power.uncore_w(f))
-            * APEX_EVENT_OVERHEAD_S,
-        )
+        cap = node.rapl.effective_cap_w(0, node.now_s)
+        joules = self._event_energy_j.get(cap)
+        if joules is None:
+            f = node.frequency.frequency_for_cap(cap, n_active=1)
+            joules = (
+                node.power.core_dynamic_w(f) + node.power.uncore_w(f)
+            ) * APEX_EVENT_OVERHEAD_S
+            self._event_energy_j[cap] = joules
+        node.deposit_energy(0, joules)
 
     def _draw(self, site: str) -> FaultSpec | None:
         if self.faults is None:

@@ -123,6 +123,22 @@ class Rapl:
             for domain in RaplDomain
             for socket in range(self.spec.sockets)
         }
+        self._index_accounts()
+
+    def _index_accounts(self) -> None:
+        """Per-domain ``{socket: account}`` views of ``_energy`` for the
+        deposit path, which runs several times per region invocation:
+        picking a domain by identity avoids hashing the enum."""
+        self._package_accounts = {
+            socket: account
+            for (domain, socket), account in self._energy.items()
+            if domain is RaplDomain.PACKAGE
+        }
+        self._dram_accounts = {
+            socket: account
+            for (domain, socket), account in self._energy.items()
+            if domain is RaplDomain.DRAM
+        }
 
     # ------------------------------------------------------------------
     # power capping (PACKAGE domain only, as on the paper's machines)
@@ -192,14 +208,23 @@ class Rapl:
         ``now_s``.  The MSR counter is only bumped when simulated time
         crosses an update-interval boundary, modelling the counter's
         refresh rate."""
-        require_nonnegative("joules", joules)
-        account = self._energy[(domain, socket)]
+        if not joules >= 0:
+            require_nonnegative("joules", joules)
+        if domain is RaplDomain.PACKAGE:
+            accounts = self._package_accounts
+            address = MSR_PKG_ENERGY_STATUS
+        elif domain is RaplDomain.DRAM:
+            accounts = self._dram_accounts
+            address = MSR_DRAM_ENERGY_STATUS
+        else:
+            raise KeyError((domain, socket))
+        account = accounts[socket]
         account.pending_j += joules
         boundary = (
             int(now_s / self.update_interval_s) * self.update_interval_s
         )
         if boundary > account.last_update_s:
-            self._flush(domain, socket)
+            self._flush(account, address, socket)
             account.last_update_s = boundary
 
     def deposit_dram_energy(
@@ -207,13 +232,13 @@ class Rapl:
     ) -> None:
         self.deposit_energy(socket, joules, now_s, RaplDomain.DRAM)
 
-    def _flush(self, domain: RaplDomain, socket: int) -> None:
-        account = self._energy[(domain, socket)]
+    def _flush(
+        self, account: _EnergyAccount, address: int, socket: int
+    ) -> None:
         units_per_j = self.msr.energy_units_per_joule(socket)
         units = int(account.pending_j * units_per_j)
         if units > 0:
             account.pending_j -= units / units_per_j
-            address = _DOMAIN_MSR[domain]
             before = self.msr.read(socket, address)
             self.msr.bump_counter(socket, address, units)
             account.wraps += (before + units) >> _COUNTER_BITS
@@ -324,10 +349,11 @@ class Rapl:
             (RaplDomain(domain), int(socket)): float(value)
             for domain, socket, value in blob["last_read"]
         }
+        self._index_accounts()
 
     def force_update(self, now_s: float) -> None:
         """Flush pending energy into the counters (used at run teardown,
         mirroring a final synchronous read after a settle sleep)."""
         for (domain, socket), account in self._energy.items():
             account.last_update_s = now_s
-            self._flush(domain, socket)
+            self._flush(account, _DOMAIN_MSR[domain], socket)

@@ -29,6 +29,11 @@ class OmptEvent(Enum):
     WORK_LOOP = "ompt_event_work_loop"
     SYNC_REGION_BARRIER = "ompt_event_sync_region_barrier"
 
+    # members compare by identity, so the identity hash is consistent;
+    # Enum's own hashes the name in Python code, and every dispatch
+    # looks an event up in the callback registry
+    __hash__ = object.__hash__
+
 
 #: per-event dispatch counter names, precomputed because dispatch runs
 #: five times per region invocation - formatting them inline shows up
@@ -99,6 +104,11 @@ class OmptInterface:
         construction entirely otherwise (OMPT's 'minimal overhead when
         not in use' design objective)."""
         return any(self._callbacks.values())
+
+    def has_callbacks(self, events: tuple[OmptEvent, ...]) -> bool:
+        """True if a callback is registered for any of ``events``."""
+        callbacks = self._callbacks
+        return any(callbacks.get(event) for event in events)
 
     def new_parallel_id(self) -> int:
         pid = self._next_parallel_id

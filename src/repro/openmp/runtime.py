@@ -11,8 +11,6 @@ times for this reason).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.machine.node import SimulatedNode
 from repro.openmp.barrier import TeamCosts
 from repro.openmp.engine import ExecutionEngine
@@ -27,7 +25,7 @@ from repro.openmp.records import RegionExecutionRecord
 from repro.openmp.region import RegionProfile
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.telemetry.bus import bus
-from repro.util.rng import rng_for
+from repro.util.rng import IndexedStream
 from repro.util.validation import require_nonnegative
 
 #: cost of one omp_set_num_threads / omp_set_schedule call.  Two calls
@@ -39,6 +37,14 @@ CONFIG_CALL_OVERHEAD_S = 0.4e-3
 #: cost of one userspace DVFS write (sysfs scaling_max_freq) - the
 #: future-work DVFS dimension pays this per frequency change.
 DVFS_WRITE_OVERHEAD_S = 60.0e-6
+
+#: the per-region aggregate events; their payloads are built only when
+#: a tool subscribes to one of them.
+_AGGREGATE_EVENTS = (
+    OmptEvent.IMPLICIT_TASK,
+    OmptEvent.WORK_LOOP,
+    OmptEvent.SYNC_REGION_BARRIER,
+)
 
 
 class OpenMPRuntime:
@@ -55,8 +61,10 @@ class OpenMPRuntime:
         self.node = node
         self.engine = ExecutionEngine(node, costs)
         self.ompt = OmptInterface()
-        self.seed = seed
+        self._seed = seed
         self.noise_sigma = noise_sigma
+        #: ``rng_for(seed, "noise", call_index)``, one draw per call
+        self._noise = IndexedStream(seed, "noise")
         self._num_threads = node.spec.total_hw_threads
         self._schedule: tuple[ScheduleKind, int | None] = (
             ScheduleKind.STATIC,
@@ -74,6 +82,11 @@ class OpenMPRuntime:
         #: on that region.  Pure performance state - deliberately not
         #: checkpointed; tuners re-hint after a resume.
         self._probe_hints: dict[str, tuple[OMPConfig, ...]] = {}
+
+    @property
+    def seed(self) -> int:
+        """Root seed of the run-to-run noise (fixed at construction)."""
+        return self._seed
 
     # ------------------------------------------------------------------
     # the omp_* runtime-library surface
@@ -236,7 +249,12 @@ class OpenMPRuntime:
             record = self.engine.execute(region, self.current_config())
             record = self._apply_noise(record)
         if ompt_active:
-            self._dispatch_aggregates(region.name, parallel_id, record)
+            if self.ompt.has_callbacks(_AGGREGATE_EVENTS):
+                self._dispatch_aggregates(region.name, parallel_id, record)
+            elif tb.enabled:
+                # no tool listens: dispatch only feeds the bus counters
+                for event in _AGGREGATE_EVENTS:
+                    self.ompt.dispatch(event, None)
             self.ompt.dispatch(
                 OmptEvent.PARALLEL_END,
                 ParallelEndPayload(
@@ -260,10 +278,10 @@ class OpenMPRuntime:
         self._call_index += 1
         if self.noise_sigma == 0.0:
             return record
-        rng = rng_for(self.seed, "noise", self._call_index)
-        factor = float(
-            max(1.0 + rng.normal(0.0, self.noise_sigma), 1.0)
-        )
+        factor = float(max(
+            1.0 + self._noise.normal(self._call_index, self.noise_sigma),
+            1.0,
+        ))
         if factor == 1.0:
             return record
         delta_t = record.time_s * (factor - 1.0)
@@ -274,16 +292,26 @@ class OpenMPRuntime:
         for socket in range(sockets):
             self.node.deposit_energy(socket, per_socket)
             self.node.deposit_dram_energy(socket, dram_per_socket)
-        return dataclasses.replace(
-            record,
+        return RegionExecutionRecord(
+            region_name=record.region_name,
+            config=record.config,
             time_s=record.time_s * factor,
             loop_time_s=record.loop_time_s * factor,
+            serial_time_s=record.serial_time_s,
+            fork_join_s=record.fork_join_s,
             barrier_wait_total_s=record.barrier_wait_total_s * factor,
             barrier_wait_max_s=record.barrier_wait_max_s * factor,
             thread_busy_s=tuple(
                 t * factor for t in record.thread_busy_s
             ),
             energy_j=record.energy_j * factor,
+            avg_power_w=record.avg_power_w,
+            frequencies_ghz=record.frequencies_ghz,
+            l1_miss_rate=record.l1_miss_rate,
+            l2_miss_rate=record.l2_miss_rate,
+            l3_miss_rate=record.l3_miss_rate,
+            dram_bytes=record.dram_bytes,
+            dispatch_overhead_s=record.dispatch_overhead_s,
             dram_energy_j=record.dram_energy_j * factor,
         )
 

@@ -22,6 +22,11 @@ class ScheduleKind(Enum):
     DYNAMIC = "dynamic"
     GUIDED = "guided"
 
+    # members compare by identity, so the identity hash is consistent;
+    # Enum's own hashes the name in Python code, and every region
+    # invocation hashes its OMPConfig into the engine's record caches
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -6,9 +6,15 @@ import json
 
 import pytest
 
+from repro.apex.instrument import ApexOmptBridge
 from repro.apex.profile import ApexProfile, TimerStats
 from repro.apex.tau import TauProfiler, TauRegionProfile
+from repro.machine.node import SimulatedNode
+from repro.machine.spec import crill
 from repro.openmp.ompt import DurationPayload, OmptEvent, OmptInterface
+from repro.openmp.runtime import OpenMPRuntime
+from repro.telemetry.bus import TelemetryBus, install
+from tests.test_openmp_engine import make_region
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +197,67 @@ class TestTauProfiler:
     def test_detach_without_attach_rejected(self):
         with pytest.raises(RuntimeError, match="not attached"):
             TauProfiler().detach()
+
+
+# ---------------------------------------------------------------------------
+# aggregate events reach a subscriber that registers mid-run
+# ---------------------------------------------------------------------------
+_AGGREGATES = (
+    OmptEvent.IMPLICIT_TASK,
+    OmptEvent.WORK_LOOP,
+    OmptEvent.SYNC_REGION_BARRIER,
+)
+
+
+def _apex_runtime() -> OpenMPRuntime:
+    runtime = OpenMPRuntime(
+        SimulatedNode(crill()), seed=3, noise_sigma=0.02
+    )
+    ApexOmptBridge(runtime).attach()
+    return runtime
+
+
+class TestLateAggregateSubscriber:
+    def test_late_subscriber_gets_one_of_each_per_invocation(self):
+        runtime = _apex_runtime()
+        region = make_region(name="late")
+        for _ in range(4):
+            runtime.parallel_for(region)
+        seen: list[tuple[OmptEvent, int]] = []
+        for event in _AGGREGATES:
+            runtime.ompt.register(
+                event,
+                lambda payload, event=event: seen.append(
+                    (event, payload.parallel_id)
+                ),
+            )
+        tau = TauProfiler()
+        tau.attach(runtime)
+        first_id = runtime.ompt._next_parallel_id
+        records = [runtime.parallel_for(region) for _ in range(6)]
+        assert seen == [
+            (event, parallel_id)
+            for parallel_id in range(first_id, first_id + 6)
+            for event in _AGGREGATES
+        ]
+        assert tau.regions["late"].calls == 6
+        assert tau.regions["late"].implicit_task_s == pytest.approx(
+            sum(r.time_s for r in records)
+        )
+
+    def test_dispatch_counters_with_the_bus_on(self):
+        tb = TelemetryBus(enabled=True)
+        previous = install(tb)
+        try:
+            runtime = _apex_runtime()
+            for _ in range(4):
+                runtime.parallel_for(make_region())
+            TauProfiler().attach(runtime)
+            for _ in range(3):
+                runtime.parallel_for(make_region())
+        finally:
+            install(previous)
+        counters = tb.metrics.counters
+        assert counters["ompt.dispatch"] == 5 * 7
+        for event in OmptEvent:
+            assert counters[f"ompt.dispatch.{event.name.lower()}"] == 7

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.machine.msr import (
@@ -10,7 +12,7 @@ from repro.machine.msr import (
     MSR_RAPL_POWER_UNIT,
     MsrFile,
 )
-from repro.machine.rapl import Rapl
+from repro.machine.rapl import Rapl, RaplDomain
 from repro.machine.spec import crill, minotaur
 
 
@@ -129,3 +131,70 @@ class TestRaplEnergyCounters:
     def test_negative_deposit_rejected(self, rapl):
         with pytest.raises(ValueError):
             rapl.deposit_energy(0, -1.0, now_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint round trip of the energy accounts
+# ---------------------------------------------------------------------------
+_PKG, _DRAM = RaplDomain.PACKAGE, RaplDomain.DRAM
+#: (socket, joules, now_s, domain): crosses update boundaries, wraps the
+#: socket-1 package counter once, and leaves energy pending at the end
+_BEFORE = [
+    (0, 1.5, 0.0004, _PKG),
+    (1, 0.75, 0.0012, _DRAM),
+    (0, 2.25, 0.0031, _PKG),
+    (1, 70000.0, 0.0031, _PKG),
+]
+_AFTER = [
+    (0, 0.5, 0.0047, _DRAM),
+    (1, 3.125, 0.0052, _PKG),
+    (0, 0.0625, 0.0052, _PKG),
+    (0, 0.001, 0.0052, _PKG),
+    (1, 0.25, 0.0068, _DRAM),
+    (1, 0.125, 0.0069, _DRAM),
+]
+#: the state _BEFORE + _AFTER leaves, pinned: snapshots feed
+#: checkpoints and fleet journals byte for byte
+_PINNED = (
+    '{"msr": {"regs": [[0, 1542, 659459], [0, 1552, 0], '
+    '[0, 1553, 249856], [0, 1561, 32768], [1, 1542, 659459], '
+    '[1, 1552, 0], [1, 1553, 292757504], [1, 1561, 65536]]}, '
+    '"rapl": {"caps": [[null, null, 0.0], [null, null, 0.0]], '
+    '"energy": [["dram", 0, 0.0, 0.004, 0], ["dram", 1, 0.125, 0.006, 0], '
+    '["package", 0, 0.001, 0.005, 0], ["package", 1, 0.0, 0.005, 1]], '
+    '"last_read": [["package", 1, 70003.125]]}}'
+)
+
+
+def _deposit_all(rapl, deposits):
+    for socket, joules, now_s, domain in deposits:
+        rapl.deposit_energy(socket, joules, now_s, domain)
+
+
+def _state(rapl, msr) -> str:
+    rapl.read_package_energy_j(1)
+    return json.dumps(
+        {"rapl": rapl.snapshot(), "msr": msr.snapshot()}, sort_keys=True
+    )
+
+
+class TestRaplRestore:
+    def test_uninterrupted_snapshot_is_pinned(self, rapl, msr):
+        _deposit_all(rapl, _BEFORE + _AFTER)
+        assert _state(rapl, msr) == _PINNED
+
+    def test_deposits_after_restore_land_in_restored_accounts(
+        self, rapl, msr
+    ):
+        _deposit_all(rapl, _BEFORE)
+        blob = json.loads(
+            json.dumps({"rapl": rapl.snapshot(), "msr": msr.snapshot()})
+        )
+        fresh_msr = MsrFile(sockets=2)
+        restored = Rapl(crill(), fresh_msr)
+        # deposits before the restore must not leak through it
+        restored.deposit_energy(0, 9.0, 0.0009)
+        fresh_msr.restore(blob["msr"])
+        restored.restore(blob["rapl"])
+        _deposit_all(restored, _AFTER)
+        assert _state(restored, fresh_msr) == _PINNED

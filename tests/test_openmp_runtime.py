@@ -3,6 +3,8 @@ configuration-change overhead and measurement noise."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.machine.node import SimulatedNode
@@ -10,6 +12,7 @@ from repro.machine.spec import crill
 from repro.openmp.ompt import OmptEvent
 from repro.openmp.runtime import CONFIG_CALL_OVERHEAD_S, OpenMPRuntime
 from repro.openmp.types import ScheduleKind
+from repro.util.rng import _FIRST_BLOCK, rng_for
 from tests.test_openmp_engine import make_region
 
 
@@ -126,6 +129,52 @@ class TestNoise:
         assert rec.energy_j == pytest.approx(
             rec.avg_power_w * rec.time_s, rel=0.05
         )
+
+    def test_noise_factor_is_the_rng_for_draw(self):
+        sigma = 0.02
+        noisy = OpenMPRuntime(
+            SimulatedNode(crill()), seed=7, noise_sigma=sigma
+        )
+        det = OpenMPRuntime(SimulatedNode(crill()), noise_sigma=0.0)
+        for index in range(1, 40):
+            base = det.parallel_for(make_region()).time_s
+            factor = max(
+                1.0 + rng_for(7, "noise", index).normal(0.0, sigma), 1.0
+            )
+            assert noisy.parallel_for(make_region()).time_s == (
+                base * factor
+            )
+
+    # the stream seeds blocks of 16, 32, ... indices starting at index
+    # 1, so these are the last indices of its first two blocks
+    @pytest.mark.parametrize("boundary", [_FIRST_BLOCK, 3 * _FIRST_BLOCK])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("into", ["fresh", "used"])
+    def test_restore_at_block_boundary_resumes(self, boundary, offset, into):
+        def build():
+            return OpenMPRuntime(
+                SimulatedNode(crill()), seed=11, noise_sigma=0.02
+            )
+
+        region = make_region()
+        original = build()
+        for _ in range(boundary + offset):
+            original.parallel_for(region)
+        node_blob = json.loads(json.dumps(original.node.snapshot()))
+        blob = json.loads(json.dumps(original.snapshot()))
+        assert blob["call_index"] == boundary + offset
+        resumed = build()
+        if into == "used":
+            # a runtime that has already seeded other indices
+            for _ in range(5):
+                resumed.parallel_for(region)
+        resumed.node.restore(node_blob)
+        resumed.restore(blob)
+        expected = [original.parallel_for(region) for _ in range(300)]
+        assert [resumed.parallel_for(region) for _ in range(300)] == (
+            expected
+        )
+        assert resumed.node.snapshot() == original.node.snapshot()
 
 
 class TestOmptDispatch:
