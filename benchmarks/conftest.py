@@ -1,37 +1,38 @@
 """Benchmark-suite fixtures.
 
-Each benchmark regenerates one of the paper's tables/figures, prints
-it and writes it under ``results/`` so the whole evaluation can be
-reassembled from one ``pytest benchmarks/ --benchmark-only`` run.
-Every ``results/<name>.txt`` is paired with a schema-stamped
+Each benchmark regenerates one of the paper's tables/figures (or one
+of this repo's ablations and overhead measurements), prints it and
+writes it under ``results/`` so the whole evaluation can be
+reassembled from one ``pytest benchmarks/`` run.  Every
+``results/<name>.txt`` is paired with a schema-stamped
 ``BENCH_<name>.json`` (:mod:`repro.analysis.bench`) carrying the same
 numbers machine-readably - metrics with compare directions, tidy
 record rows, and machine/seed/config provenance - which
 ``repro analysis compare`` diffs against the committed baselines under
 ``results/baselines/``.
 
-Both files are written through :mod:`repro.util.atomicio`, so a killed
-benchmark run leaves either the old artifact or the new one - never a
-truncated half.
-
-The sweep benchmarks run on the parallel cached harness
-(:mod:`repro.experiments.parallel`); two environment variables tune it:
-
-* ``REPRO_BENCH_WORKERS=<n>``  - process-pool size (default 1, serial);
-* ``REPRO_BENCH_NO_CACHE=1``   - disable the ``results/.cache`` result
-  cache and recompute every cell.
+Registered figures and tables come from one spec each in the figure
+registry (:mod:`repro.analysis.registry`): ``bench_figures.py`` and
+``repro figures`` both generate and write them from it, so the two
+produce the same bytes.  ``repro figures --workers N --no-cache``
+regenerates the same artifacts in parallel or cold.  The other
+benchmarks save through :func:`save_result`, which calls the same two
+writers.  Both files are written through :mod:`repro.util.atomicio`,
+so a killed benchmark run leaves either the old artifact or the new
+one - never a truncated half.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.bench import bench_payload, write_bench_json
-from repro.experiments.cache import ExperimentCache
-from repro.util.atomicio import atomic_write_text
+from repro.analysis.bench import (
+    bench_payload,
+    write_bench_json,
+    write_result_txt,
+)
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -43,57 +44,16 @@ def results_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def sweep_workers() -> int:
-    return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
-
-
-@pytest.fixture(scope="session")
-def sweep_cache(results_dir) -> ExperimentCache | None:
-    if os.environ.get("REPRO_BENCH_NO_CACHE"):
-        return None
-    return ExperimentCache(results_dir / ".cache")
-
-
-@pytest.fixture(scope="session")
-def save_bench_json(results_dir):
-    """Write one schema-stamped ``BENCH_<name>.json`` under
-    ``results/``.
+def save_result(results_dir):
+    """Persist one benchmark artifact: ``results/<name>.txt`` (the
+    paper-style table, also printed) plus its ``BENCH_<name>.json``
+    twin built from the keyword arguments.
 
     ``metrics`` values are numbers (lower-is-better by default) or
     ``{"value": x, "direction": "lower"|"higher"|"info"}`` mappings;
     mark wall-clock-derived numbers ``info`` so the CI regression gate
     never trips on machine noise.
     """
-
-    def _save(
-        name: str,
-        metrics=None,
-        *,
-        records=None,
-        machine=None,
-        seed=None,
-        config=None,
-    ) -> Path:
-        return write_bench_json(
-            results_dir,
-            bench_payload(
-                name,
-                metrics,
-                records=records,
-                machine=machine,
-                seed=seed,
-                config=config,
-            ),
-        )
-
-    return _save
-
-
-@pytest.fixture(scope="session")
-def save_result(results_dir, save_bench_json):
-    """Persist one benchmark artifact: ``results/<name>.txt`` (the
-    paper-style table, also printed) plus its ``BENCH_<name>.json``
-    twin built from the keyword arguments."""
 
     def _save(
         name: str,
@@ -105,14 +65,17 @@ def save_result(results_dir, save_bench_json):
         seed=None,
         config=None,
     ) -> None:
-        atomic_write_text(results_dir / f"{name}.txt", text + "\n")
-        save_bench_json(
-            name,
-            metrics,
-            records=records,
-            machine=machine,
-            seed=seed,
-            config=config,
+        write_result_txt(results_dir, name, text)
+        write_bench_json(
+            results_dir,
+            bench_payload(
+                name,
+                metrics,
+                records=records,
+                machine=machine,
+                seed=seed,
+                config=config,
+            ),
         )
         print()
         print(text)

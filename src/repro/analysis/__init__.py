@@ -6,8 +6,8 @@ Machine-readable results, end to end:
   generator outputs, cached :class:`StrategyRunResult`\\ s, sweep
   journals and telemetry JSONL;
 * :mod:`repro.analysis.registry` - the figure/table registry behind
-  ``repro figures``, rendering each artifact through txt / JSON / CSV
-  backends;
+  ``repro figures`` and the benchmark suite, rendering each artifact
+  through txt / BENCH JSON / CSV backends;
 * :mod:`repro.analysis.bench` - the ``BENCH_<name>.json`` schema every
   benchmark emits next to its ``results/<name>.txt``;
 * :mod:`repro.analysis.compare` - the regression gate
@@ -26,6 +26,7 @@ from repro.analysis.bench import (
     load_bench_json,
     sweep_metrics,
     write_bench_json,
+    write_result_txt,
 )
 from repro.analysis.compare import (
     DEFAULT_TOLERANCE,
@@ -52,7 +53,6 @@ from repro.analysis.records import (
 # rows through repro.analysis.records - importing the registry eagerly
 # here would make that a circular import.
 _REGISTRY_EXPORTS = (
-    "FIGURE_SCHEMA_VERSION",
     "FORMATS",
     "REGISTRY",
     "FigureSpec",
@@ -82,7 +82,6 @@ __all__ = [
     "BenchFormatError",
     "ComparisonReport",
     "DEFAULT_TOLERANCE",
-    "FIGURE_SCHEMA_VERSION",
     "FORMATS",
     "FigureSpec",
     "GenOptions",
@@ -115,4 +114,5 @@ __all__ = [
     "telemetry_records",
     "write_bench_json",
     "write_figure",
+    "write_result_txt",
 ]

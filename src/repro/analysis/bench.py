@@ -13,7 +13,8 @@ tables.  One file holds:
 * ``provenance`` - machine spec names, seed, benchmark configuration,
   and the interpreter/platform that produced the numbers.
 
-:func:`write_bench_json` goes through
+:func:`write_bench_json` and :func:`write_result_txt` - the writers
+``repro figures`` and every benchmark use - go through
 :mod:`repro.util.atomicio`, so a killed benchmark run can never leave
 a torn JSON behind, and :func:`load_bench_dir` treats unreadable or
 schema-mismatched files as absent rather than crashing the comparison
@@ -167,6 +168,14 @@ def feature_metrics(comparison) -> dict:
 
 def bench_path(directory: str | Path, name: str) -> Path:
     return Path(directory) / f"{BENCH_PREFIX}{name}.json"
+
+
+def write_result_txt(directory: str | Path, name: str, text: str) -> Path:
+    """Atomically write the paper-style ``<name>.txt`` that pairs with
+    ``BENCH_<name>.json`` under ``directory`` and return its path."""
+    path = Path(directory) / f"{name}.txt"
+    atomic_write_text(path, text + "\n")
+    return path
 
 
 def write_bench_json(

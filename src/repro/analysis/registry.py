@@ -2,22 +2,31 @@
 
 Maps the name of each figure/table in the paper's evaluation (the stem
 of its ``results/<name>.txt``) to a spec bundling its data generator
-(:mod:`repro.experiments.figures` / ``tables``), its paper-style text
-renderer (:mod:`repro.experiments.reporting`) and its tidy record
-converter (:mod:`repro.analysis.records`).  ``repro figures [NAME
-...]`` walks the registry and regenerates every requested artifact in
-every requested backend (txt / json / csv) deterministically under the
-repro seed - the ProjectScylla ``generate_figures`` idiom, adapted to
-this repo's simulated measurements.
+(:mod:`repro.experiments.figures` / ``tables``), its title and
+paper-style text renderer (:mod:`repro.experiments.reporting`), its
+tidy record converter (:mod:`repro.analysis.records`) and its BENCH
+metrics and provenance (:mod:`repro.analysis.bench`).  ``repro figures
+[NAME ...]`` and the benchmark suite (``benchmarks/bench_figures.py``)
+both walk this registry and write each artifact through
+:func:`write_figure` - ``<name>.txt``, ``BENCH_<name>.json`` and
+optionally ``<name>.csv`` - deterministically under the repro seed:
+the ProjectScylla ``generate_figures`` idiom, adapted to this repo's
+simulated measurements.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.bench import (
+    bench_payload,
+    feature_metrics,
+    sweep_metrics,
+    write_bench_json,
+    write_result_txt,
+)
 from repro.analysis.records import (
     RecordTable,
     bench_trend_records,
@@ -57,16 +66,14 @@ from repro.experiments.tables import (
     table1_search_space,
     table2_sp_optimal_configs,
 )
-from repro.machine.spec import crill, minotaur
+from repro.machine.spec import crill, machine_by_name
 from repro.util.atomicio import atomic_write_text
 from repro.workloads.bt import bt_application
 from repro.workloads.lulesh import lulesh_application
 from repro.workloads.sp import sp_application
 
-#: stamp on every figure JSON payload.
-FIGURE_SCHEMA_VERSION = 1
-
-#: the output backends ``generate`` can write.
+#: the output backends ``generate`` can write: ``<name>.txt``,
+#: ``BENCH_<name>.json`` and ``<name>.csv``.
 FORMATS = ("txt", "json", "csv")
 
 
@@ -102,12 +109,20 @@ class FigureSpec:
     kind: str                                   # "figure" | "table"
     title: str
     generate: Callable[[GenOptions], object]
-    render_txt: Callable[[object], str]
+    #: ``(data, title) -> text``
+    render_txt: Callable[[object, str], str]
     records: Callable[[object], list[dict]]
+    #: ``data -> BENCH metrics`` (:func:`repro.analysis.bench.
+    #: bench_payload` form); ``None`` records no metrics
+    metrics: Callable[[object], dict] | None = None
+    #: BENCH provenance: the machine(s) and repro seed behind the data
+    machine: str | tuple[str, ...] | None = None
+    seed: int | None = None
     #: "fast" entries finish in ~seconds; "sweep" entries run full
-    #: power sweeps with tuning (use workers/cache); "external"
-    #: entries need an input artifact the repo does not generate
-    #: (e.g. --bench-dir) and are excluded from the default-all set.
+    #: power sweeps with tuning (use workers/cache, which their BENCH
+    #: provenance records); "external" entries need an input artifact
+    #: the repo does not generate (e.g. --bench-dir) and are excluded
+    #: from the default-all set.
     cost: str = "fast"
 
 
@@ -119,61 +134,71 @@ class GeneratedFigure:
     data: object
     text: str
     table: RecordTable
+    #: the ``BENCH_<name>.json`` payload
+    bench: dict
     paths: dict[str, Path] = field(default_factory=dict)
 
-    def json_payload(self) -> dict:
-        return {
-            "schema": FIGURE_SCHEMA_VERSION,
-            "kind": self.spec.kind,
-            "name": self.spec.name,
-            "title": self.spec.title,
-            "records": self.table.records,
-        }
 
-
-def _sweep_generator(app_factory, spec_factory, caps):
+def _sweep_spec(
+    name: str, title: str, app_factory, machine: str, caps
+) -> FigureSpec:
     def generate(options: GenOptions):
         return power_sweep(
             app_factory(),
-            spec_factory(),
+            machine_by_name(machine),
             caps,
             repeats=options.repeats,
             workers=options.workers,
             cache=options.cache,
         )
 
-    return generate
-
-
-def _spec(
-    name: str,
-    kind: str,
-    title: str,
-    generate,
-    render_txt,
-    records,
-    cost: str = "fast",
-) -> FigureSpec:
     return FigureSpec(
         name=name,
-        kind=kind,
+        kind="figure",
         title=title,
         generate=generate,
-        render_txt=render_txt,
-        records=records,
-        cost=cost,
+        render_txt=render_sweep,
+        records=sweep_records,
+        metrics=sweep_metrics,
+        machine=machine,
+        seed=0,
+        cost="sweep",
     )
 
 
 def _feature_spec(name: str, title: str, generator) -> FigureSpec:
-    return _spec(
-        name,
-        "figure",
-        title,
-        lambda options: generator(),
-        lambda data: render_features(data, title),
-        feature_records,
+    return FigureSpec(
+        name=name,
+        kind="figure",
+        title=title,
+        generate=lambda options: generator(),
+        render_txt=render_features,
+        records=feature_records,
+        metrics=feature_metrics,
+        machine="crill",
+        seed=0,
     )
+
+
+def _fig1_metrics(rows) -> dict:
+    return {
+        f"improvement_pct[{r.label}]": {
+            "value": r.improvement_pct, "direction": "higher",
+        }
+        for r in rows
+        if r.improvement_pct is not None
+    }
+
+
+def _fig9_metrics(rows) -> dict:
+    # descriptive OMPT statistics, not a perf gate: recorded for trend
+    # plots but never diffed against a tolerance
+    return {
+        f"barrier_fraction[{r.region}]": {
+            "value": r.barrier_fraction, "direction": "info",
+        }
+        for r in rows
+    }
 
 
 def _gen_fleet_survival(options: GenOptions) -> list[dict]:
@@ -326,105 +351,69 @@ def _gen_bench_trend(options: GenOptions) -> list[dict]:
     return bench_trend_records(options.bench_dir)
 
 
-_FIG1_TITLE = (
-    "Fig. 1: BT x_solve region - best vs default configuration "
-    "across power levels (smaller is better)"
-)
-_FIG9_TITLE = (
-    "Fig. 9: OMPT event data for top-5 LULESH regions (default "
-    "config, TDP)"
-)
-
 #: name -> spec for every figure and table in the evaluation.  Names
 #: are exactly the stems the benchmark suite writes under results/.
 REGISTRY: dict[str, FigureSpec] = {
     spec.name: spec
     for spec in (
-        _spec(
-            "fig1_motivation",
-            "figure",
-            _FIG1_TITLE,
-            lambda options: fig1_motivation(),
-            render_fig1,
-            fig1_records,
+        FigureSpec(
+            name="fig1_motivation",
+            kind="figure",
+            title="Fig. 1: BT x_solve region - best vs default "
+            "configuration across power levels (smaller is better)",
+            generate=lambda options: fig1_motivation(),
+            render_txt=render_fig1,
+            records=fig1_records,
+            metrics=_fig1_metrics,
+            machine="crill",
+            seed=0,
         ),
         _feature_spec(
             "fig3_sp_features",
             "Fig. 3: SP major regions, default vs ARCS-Offline (TDP)",
             fig3_sp_features,
         ),
-        _spec(
+        _sweep_spec(
             "fig4_sp_power_sweep",
-            "figure",
             "Fig. 4: SP-B on Crill",
-            _sweep_generator(
-                lambda: sp_application("B"), crill, CRILL_POWER_LEVELS
-            ),
-            lambda data: render_sweep(data, "Fig. 4: SP-B on Crill"),
-            sweep_records,
-            cost="sweep",
+            lambda: sp_application("B"), "crill", CRILL_POWER_LEVELS,
         ),
-        _spec(
+        _sweep_spec(
             "fig5_sp_classC",
-            "figure",
             "Fig. 5: SP-C on Crill (TDP)",
-            _sweep_generator(
-                lambda: sp_application("C"), crill, (115.0,)
-            ),
-            lambda data: render_sweep(data, "Fig. 5: SP-C on Crill (TDP)"),
-            sweep_records,
-            cost="sweep",
+            lambda: sp_application("C"), "crill", (115.0,),
         ),
         _feature_spec(
             "fig6_bt_features",
             "Fig. 6: BT compute_rhs, default vs ARCS-Offline (TDP)",
             fig6_bt_features,
         ),
-        _spec(
+        _sweep_spec(
             "fig7_bt_power_sweep",
-            "figure",
             "Fig. 7: BT-B on Crill",
-            _sweep_generator(
-                lambda: bt_application("B"), crill, CRILL_POWER_LEVELS
-            ),
-            lambda data: render_sweep(data, "Fig. 7: BT-B on Crill"),
-            sweep_records,
-            cost="sweep",
+            lambda: bt_application("B"), "crill", CRILL_POWER_LEVELS,
         ),
-        _spec(
+        _sweep_spec(
             "fig8_lulesh_crill",
-            "figure",
             "Fig. 8a/8b: LULESH-45 on Crill",
-            _sweep_generator(
-                lambda: lulesh_application(45), crill,
-                CRILL_POWER_LEVELS,
-            ),
-            lambda data: render_sweep(
-                data, "Fig. 8a/8b: LULESH-45 on Crill"
-            ),
-            sweep_records,
-            cost="sweep",
+            lambda: lulesh_application(45), "crill", CRILL_POWER_LEVELS,
         ),
-        _spec(
+        _sweep_spec(
             "fig8_lulesh_minotaur",
-            "figure",
             "Fig. 8c: LULESH-45 on Minotaur (time only)",
-            _sweep_generator(
-                lambda: lulesh_application(45), minotaur, (190.0,)
-            ),
-            lambda data: render_sweep(
-                data, "Fig. 8c: LULESH-45 on Minotaur (time only)"
-            ),
-            sweep_records,
-            cost="sweep",
+            lambda: lulesh_application(45), "minotaur", (190.0,),
         ),
-        _spec(
-            "fig9_lulesh_regions",
-            "figure",
-            _FIG9_TITLE,
-            lambda options: fig9_lulesh_regions(),
-            render_fig9,
-            fig9_records,
+        FigureSpec(
+            name="fig9_lulesh_regions",
+            kind="figure",
+            title="Fig. 9: OMPT event data for top-5 LULESH regions "
+            "(default config, TDP)",
+            generate=lambda options: fig9_lulesh_regions(),
+            render_txt=render_fig9,
+            records=fig9_records,
+            metrics=_fig9_metrics,
+            machine="crill",
+            seed=0,
         ),
         _feature_spec(
             "fig10_lulesh_features",
@@ -432,56 +421,65 @@ REGISTRY: dict[str, FigureSpec] = {
             "ARCS-Offline",
             fig10_lulesh_features,
         ),
-        _spec(
-            "table1_search_space",
-            "table",
-            "Table I: ARCS search parameters for OpenMP parallel "
+        FigureSpec(
+            name="table1_search_space",
+            kind="table",
+            title="Table I: ARCS search parameters for OpenMP parallel "
             "regions",
-            lambda options: table1_search_space(),
-            render_table1,
-            table1_records,
+            generate=lambda options: table1_search_space(),
+            render_txt=render_table1,
+            records=table1_records,
+            machine=("crill", "minotaur"),
         ),
-        _spec(
-            "table2_sp_optimal_configs",
-            "table",
-            "Table II: optimal configuration chosen by ARCS-Offline "
-            "for SP regions",
-            lambda options: table2_sp_optimal_configs(),
-            render_table2,
-            table2_records,
+        FigureSpec(
+            name="table2_sp_optimal_configs",
+            kind="table",
+            title="Table II: optimal configuration chosen by "
+            "ARCS-Offline for SP regions",
+            generate=lambda options: table2_sp_optimal_configs(),
+            render_txt=render_table2,
+            records=table2_records,
+            machine="crill",
+            seed=0,
         ),
-        _spec(
-            "fleet_survival",
-            "table",
-            "Fleet survival by degradation kind (chaos fleet run)",
-            _gen_fleet_survival,
-            render_fleet_survival,
-            lambda data: data,
+        FigureSpec(
+            name="fleet_survival",
+            kind="table",
+            title="Fleet survival by degradation kind (chaos fleet run)",
+            generate=_gen_fleet_survival,
+            render_txt=render_fleet_survival,
+            records=lambda data: data,
+            machine=("crill", "minotaur"),
+            seed=7,
         ),
-        _spec(
-            "capsched_timeline",
-            "table",
-            "Cap-schedule adaptation timeline (telemetry cap.change "
-            "events)",
-            _gen_capsched_timeline,
-            render_capsched_timeline,
-            lambda data: data,
+        FigureSpec(
+            name="capsched_timeline",
+            kind="table",
+            title="Cap-schedule adaptation timeline (telemetry "
+            "cap.change events)",
+            generate=_gen_capsched_timeline,
+            render_txt=render_capsched_timeline,
+            records=lambda data: data,
+            machine="crill",
+            seed=0,
         ),
-        _spec(
-            "service_hit_rate",
-            "table",
-            "Tuning-service hit rate by tier and store shard",
-            _gen_service_hit_rate,
-            render_service_hit_rate,
-            lambda data: data,
+        FigureSpec(
+            name="service_hit_rate",
+            kind="table",
+            title="Tuning-service hit rate by tier and store shard",
+            generate=_gen_service_hit_rate,
+            render_txt=render_service_hit_rate,
+            records=lambda data: data,
+            machine="crill",
+            seed=0,
         ),
-        _spec(
-            "bench_trend",
-            "table",
-            "BENCH metric trend across commits",
-            _gen_bench_trend,
-            render_bench_trend,
-            lambda data: data,
+        FigureSpec(
+            name="bench_trend",
+            kind="table",
+            title="BENCH metric trend across commits",
+            generate=_gen_bench_trend,
+            render_txt=render_bench_trend,
+            records=lambda data: data,
             cost="external",
         ),
     )
@@ -512,11 +510,27 @@ def generate_figure(
     spec = get_spec(name)
     options = options or GenOptions()
     data = spec.generate(options)
+    table = RecordTable(spec.records(data))
+    config = None
+    if spec.cost == "sweep":
+        config = {
+            "repeats": options.repeats,
+            "workers": options.workers,
+            "cached": options.cache is not None,
+        }
     return GeneratedFigure(
         spec=spec,
         data=data,
-        text=spec.render_txt(data),
-        table=RecordTable(spec.records(data)),
+        text=spec.render_txt(data, spec.title),
+        table=table,
+        bench=bench_payload(
+            spec.name,
+            None if spec.metrics is None else spec.metrics(data),
+            records=table.records,
+            machine=spec.machine,
+            seed=spec.seed,
+            config=config,
+        ),
     )
 
 
@@ -526,22 +540,17 @@ def write_figure(
     formats: Sequence[str] = FORMATS,
 ) -> dict[str, Path]:
     """Atomically write one generated artifact in each requested
-    backend; returns ``format -> path``."""
-    out_dir = Path(out_dir)
+    backend; returns ``format -> path``.  ``json`` is the artifact's
+    ``BENCH_<name>.json``."""
     name = generated.spec.name
     paths: dict[str, Path] = {}
     for fmt in formats:
         if fmt == "txt":
-            path = out_dir / f"{name}.txt"
-            atomic_write_text(path, generated.text + "\n")
+            path = write_result_txt(out_dir, name, generated.text)
         elif fmt == "json":
-            path = out_dir / f"{name}.json"
-            atomic_write_text(
-                path,
-                json.dumps(generated.json_payload(), indent=2) + "\n",
-            )
+            path = write_bench_json(out_dir, generated.bench)
         elif fmt == "csv":
-            path = out_dir / f"{name}.csv"
+            path = Path(out_dir) / f"{name}.csv"
             atomic_write_text(path, generated.table.to_csv())
         else:
             raise ValueError(

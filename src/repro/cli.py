@@ -26,6 +26,7 @@ from repro.analysis.registry import (
     GenOptions,
     UnknownFigureError,
     figure_names,
+    generate_figure,
     generate_figures,
 )
 from repro.core.capschedule import (
@@ -39,7 +40,7 @@ from repro.experiments.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.experiments.figures import power_sweep
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.reporting import render_sweep, render_table1
+from repro.experiments.reporting import render_sweep
 from repro.experiments.runner import (
     CRILL_POWER_LEVELS,
     ExperimentSetup,
@@ -56,7 +57,6 @@ from repro.obs.profile import (
 from repro.obs.slo import SloConfigError
 from repro.obs.trace import render_trace_tree, root_context
 from repro.supervise import RunAbortedError
-from repro.experiments.tables import table1_search_space
 from repro.machine.spec import machine_by_name
 from repro.telemetry import (
     JsonlSink,
@@ -514,7 +514,7 @@ def _cmd_list() -> str:
 def _cmd_search_space(args: argparse.Namespace) -> str:
     # validates the machine name as a side effect
     machine_by_name(args.machine)
-    return render_table1(table1_search_space())
+    return generate_figure("table1_search_space").text
 
 
 def _load_faults(path: str | None) -> FaultPlan | None:

@@ -1,8 +1,10 @@
 """Data generators for every figure in the paper's evaluation.
 
 Each ``figN_*`` function runs the measurements behind the corresponding
-figure and returns a small structured result that the benchmark harness
-prints (and tests assert on).  Normalization follows the paper: every
+figure and returns a small structured result that the figure registry
+(:mod:`repro.analysis.registry`) renders and tests assert on; the power
+sweeps of Figures 4, 5, 7 and 8 are :func:`power_sweep` calls whose
+application, machine and power levels the registry names.  Normalization follows the paper: every
 value is divided by the default configuration's value at the same power
 level ("Smaller value is better").
 """
@@ -25,7 +27,7 @@ from repro.experiments.runner import (
     run_default,
 )
 from repro.machine.node import SimulatedNode
-from repro.machine.spec import MachineSpec, crill, minotaur
+from repro.machine.spec import MachineSpec, crill
 from repro.openmp.engine import ExecutionEngine
 from repro.openmp.types import OMPConfig, ScheduleKind, default_config
 from repro.workloads.base import Application
@@ -208,7 +210,7 @@ def fig10_lulesh_features(
 
 
 # ---------------------------------------------------------------------------
-# Power sweeps (Figures 4, 7, 8a/8b)
+# Power sweeps (Figures 4, 5, 7, 8)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepCell:
@@ -333,61 +335,6 @@ def power_sweep(
         cells=cells,
         results=results,
     )
-
-
-def fig4_sp_power_sweep(
-    repeats: int = 3,
-    workers: int = 1,
-    cache: ExperimentCache | None = None,
-) -> PowerSweep:
-    """Figure 4: SP-B on Crill across five power levels."""
-    return power_sweep(
-        sp_application("B"), crill(), CRILL_POWER_LEVELS,
-        repeats=repeats, workers=workers, cache=cache,
-    )
-
-
-def fig5_sp_class_c(
-    repeats: int = 3,
-    workers: int = 1,
-    cache: ExperimentCache | None = None,
-) -> PowerSweep:
-    """Figure 5: SP-C on Crill at TDP (time and energy)."""
-    return power_sweep(
-        sp_application("C"), crill(), (115.0,),
-        repeats=repeats, workers=workers, cache=cache,
-    )
-
-
-def fig7_bt_power_sweep(
-    repeats: int = 3,
-    workers: int = 1,
-    cache: ExperimentCache | None = None,
-) -> PowerSweep:
-    """Figure 7: BT-B on Crill across five power levels."""
-    return power_sweep(
-        bt_application("B"), crill(), CRILL_POWER_LEVELS,
-        repeats=repeats, workers=workers, cache=cache,
-    )
-
-
-def fig8_lulesh(
-    repeats: int = 3,
-    workers: int = 1,
-    cache: ExperimentCache | None = None,
-) -> tuple[PowerSweep, PowerSweep]:
-    """Figure 8: LULESH mesh 45 - (a/b) Crill across power levels,
-    (c) Minotaur at TDP (time only)."""
-    app = lulesh_application(45)
-    crill_sweep = power_sweep(
-        app, crill(), CRILL_POWER_LEVELS,
-        repeats=repeats, workers=workers, cache=cache,
-    )
-    minotaur_sweep = power_sweep(
-        app, minotaur(), (190.0,),
-        repeats=repeats, workers=workers, cache=cache,
-    )
-    return crill_sweep, minotaur_sweep
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each renderer is the *text backend* of the figure registry
 (:mod:`repro.analysis.registry`): it formats the same tidy record rows
 (:mod:`repro.analysis.records`) that the JSON and CSV backends
 serialize, so every representation of a figure is guaranteed to show
-the same numbers.
+the same numbers.  Titles come from the registry spec, the one place
+each is written.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.util.tables import format_table
 STRATEGY_ORDER = ("default", "arcs-online", "arcs-offline")
 
 
-def render_fig1(rows: list[Fig1Row]) -> str:
+def render_fig1(rows: list[Fig1Row], title: str) -> str:
     table_rows = []
     for r in fig1_records(rows):
         imp = r["improvement_pct"]
@@ -48,10 +49,7 @@ def render_fig1(rows: list[Fig1Row]) -> str:
     return format_table(
         ("power", "configuration", "time (s)", "default (s)", "improvement"),
         table_rows,
-        title=(
-            "Fig. 1: BT x_solve region - best vs default configuration "
-            "across power levels (smaller is better)"
-        ),
+        title=title,
     )
 
 
@@ -92,7 +90,7 @@ def render_sweep(sweep: PowerSweep, title: str) -> str:
     )
 
 
-def render_fig9(rows: list[Fig9Row]) -> str:
+def render_fig9(rows: list[Fig9Row], title: str) -> str:
     table_rows = [
         (
             r["region"],
@@ -114,29 +112,27 @@ def render_fig9(rows: list[Fig9Row]) -> str:
             "per-call (ms)",
         ),
         table_rows,
-        title="Fig. 9: OMPT event data for top-5 LULESH regions (default "
-        "config, TDP)",
+        title=title,
     )
 
 
-def render_table1(rows: list[Table1Row]) -> str:
+def render_table1(rows: list[Table1Row], title: str) -> str:
     return format_table(
         ("Parameter", "Set of values"),
         [(r["parameter"], r["values"]) for r in table1_records(rows)],
-        title="Table I: ARCS search parameters for OpenMP parallel regions",
+        title=title,
     )
 
 
-def render_table2(rows: list[Table2Row]) -> str:
+def render_table2(rows: list[Table2Row], title: str) -> str:
     return format_table(
         ("Region", "Optimal Configuration (Thread, Schedule, Chunk)"),
         [(r["region"], r["config"]) for r in table2_records(rows)],
-        title="Table II: optimal configuration chosen by ARCS-Offline for "
-        "SP regions",
+        title=title,
     )
 
 
-def render_fleet_survival(rows: list[dict]) -> str:
+def render_fleet_survival(rows: list[dict], title: str) -> str:
     """Text backend of the fleet survival-rate table (rows from
     :func:`repro.analysis.records.fleet_survival_records`)."""
     table_rows = [
@@ -152,11 +148,11 @@ def render_fleet_survival(rows: list[dict]) -> str:
     return format_table(
         ("degradation", "events", "affected", "survived", "survival"),
         table_rows,
-        title="Fleet survival by degradation kind (chaos fleet run)",
+        title=title,
     )
 
 
-def render_capsched_timeline(rows: list[dict]) -> str:
+def render_capsched_timeline(rows: list[dict], title: str) -> str:
     """Text backend of the cap-schedule adaptation timeline (rows
     from :func:`repro.analysis.records.capsched_timeline_records`)."""
     table_rows = [
@@ -172,12 +168,11 @@ def render_capsched_timeline(rows: list[dict]) -> str:
     return format_table(
         ("stream", "invocation", "from", "to", "outcome"),
         table_rows,
-        title="Cap-schedule adaptation timeline (telemetry cap.change "
-        "events)",
+        title=title,
     )
 
 
-def render_service_hit_rate(rows: list[dict]) -> str:
+def render_service_hit_rate(rows: list[dict], title: str) -> str:
     """Text backend of the tuning-service hit-rate table (rows from
     :func:`repro.analysis.records.service_hit_rate_records`)."""
     table_rows = [
@@ -198,11 +193,11 @@ def render_service_hit_rate(rows: list[dict]) -> str:
     return format_table(
         ("scope", "name", "requests", "hits", "misses", "hit_rate"),
         table_rows,
-        title="Tuning-service hit rate by tier and store shard",
+        title=title,
     )
 
 
-def render_bench_trend(rows: list[dict]) -> str:
+def render_bench_trend(rows: list[dict], title: str) -> str:
     """Text backend of the BENCH metric trend table (rows from
     :func:`repro.analysis.records.bench_trend_records`)."""
     table_rows = [
@@ -220,5 +215,5 @@ def render_bench_trend(rows: list[dict]) -> str:
         ("bench", "metric", "direction", "commit", "value",
          "vs_first"),
         table_rows,
-        title="BENCH metric trend across commits",
+        title=title,
     )

@@ -16,9 +16,9 @@ Failure discipline:
   injected equivalent of the server dying mid-write, which the client
   must survive by falling back a tier;
 * shutdown - the ``shutdown`` op, ``SIGINT``/``SIGTERM``, or
-  :meth:`ConfigServiceDaemon.stop` - flushes the write-behind buffer
-  with fsync before the process exits, so acknowledged writes are
-  durable.
+  :meth:`ConfigServiceDaemon.stop` - hangs up on open connections and
+  flushes the write-behind buffer with fsync before the process exits,
+  so acknowledged writes are durable.
 
 :class:`ThreadedDaemon` runs the same daemon on a background thread
 with its own loop - the harness tests, the stress benchmark and the
@@ -63,6 +63,8 @@ class ConfigServiceDaemon:
         self.injected_crashes = 0
         self._server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
+        #: open connection -> its handler task, closed on shutdown
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -91,6 +93,15 @@ class ConfigServiceDaemon:
         assert self._server is not None and self._stopping is not None
         async with self._server:
             await self._stopping.wait()
+            # stop accepting, then hang up on every open connection so
+            # each handler ends on EOF instead of being cancelled when
+            # the loop tears down
+            self._server.close()
+            handlers = list(self._connections.values())
+            for writer in list(self._connections):
+                writer.close()
+            if handlers:
+                await asyncio.wait(handlers)
         self.store.close()
         log.info("service daemon stopped", requests=self.requests)
 
@@ -105,6 +116,7 @@ class ConfigServiceDaemon:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -133,6 +145,7 @@ class ConfigServiceDaemon:
                 if stop_after or not alive:
                     break
         finally:
+            del self._connections[writer]
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.bench import (
+    BENCH_SCHEMA_VERSION,
+    bench_path,
+    load_bench_json,
+)
 from repro.analysis.registry import (
-    FIGURE_SCHEMA_VERSION,
     FORMATS,
     GenOptions,
     REGISTRY,
@@ -21,6 +26,15 @@ from repro.analysis.registry import (
 
 #: registry entries cheap enough for tests (~seconds each).
 FAST = "table1_search_space"
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+#: every fast entry with a committed ``results/<name>.txt``.
+COMMITTED_FAST = [
+    name
+    for name in figure_names(cost="fast")
+    if (RESULTS / f"{name}.txt").exists()
+]
 
 
 class TestRegistry:
@@ -71,9 +85,13 @@ class TestGeneration:
         assert set(paths) == set(FORMATS)
         txt = paths["txt"].read_text()
         assert txt == artifact.text + "\n"
-        payload = json.loads(paths["json"].read_text())
-        assert payload["schema"] == FIGURE_SCHEMA_VERSION
+        # the json backend is the artifact's BENCH file
+        assert paths["json"] == bench_path(tmp_path, FAST)
+        payload = load_bench_json(paths["json"])
+        assert payload["schema"] == BENCH_SCHEMA_VERSION
+        assert payload["name"] == FAST
         assert payload["records"] == artifact.table.records
+        assert payload["provenance"]["machines"] == ["crill", "minotaur"]
         assert paths["csv"].read_text().startswith("parameter,values")
 
     def test_write_figure_unknown_format(self, tmp_path):
@@ -81,18 +99,21 @@ class TestGeneration:
         with pytest.raises(ValueError, match="format"):
             write_figure(artifact, tmp_path, formats=("pdf",))
 
-    def test_txt_matches_committed_results(self):
+    @pytest.mark.parametrize("name", COMMITTED_FAST)
+    def test_txt_matches_committed_results(self, name):
         """The registry regenerates the committed results/ text
-        byte-identically (the acceptance criterion for the refactor)."""
-        from pathlib import Path
-
-        committed = (
-            Path(__file__).resolve().parent.parent
-            / "results" / f"{FAST}.txt"
-        )
-        if not committed.exists():
-            pytest.skip("no committed results file")
-        assert generate_figure(FAST).text + "\n" == committed.read_text()
+        byte-identically, and the metrics, records and provenance of
+        the committed BENCH file."""
+        artifact = generate_figure(name)
+        committed_txt = (RESULTS / f"{name}.txt").read_text()
+        assert artifact.text + "\n" == committed_txt
+        committed = load_bench_json(bench_path(RESULTS, name))
+        assert committed is not None
+        fresh = json.loads(json.dumps(artifact.bench))
+        assert fresh["metrics"] == committed["metrics"]
+        assert fresh["records"] == committed["records"]
+        for key in ("machines", "seed", "config"):
+            assert fresh["provenance"][key] == committed["provenance"][key]
 
     def test_generate_figures_validates_names_first(self, tmp_path):
         with pytest.raises(UnknownFigureError):
@@ -111,5 +132,5 @@ class TestGeneration:
         assert seen == [FAST]
         assert (tmp_path / f"{FAST}.txt").exists()
         assert (tmp_path / f"{FAST}.csv").exists()
-        assert not (tmp_path / f"{FAST}.json").exists()
+        assert not bench_path(tmp_path, FAST).exists()
         assert generated[0].paths["txt"].parent == tmp_path

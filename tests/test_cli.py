@@ -192,8 +192,10 @@ class TestFiguresCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "regenerated 1 artifact(s)" in out
-        for suffix in (".txt", ".json", ".csv"):
-            assert (tmp_path / f"table1_search_space{suffix}").exists()
+        for stem in ("table1_search_space.txt",
+                     "BENCH_table1_search_space.json",
+                     "table1_search_space.csv"):
+            assert (tmp_path / stem).exists()
 
     def test_repeated_regeneration_is_byte_identical(self, tmp_path):
         argv = ["figures", "table1_search_space", "fig9_lulesh_regions",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.registry import get_spec
 from repro.experiments.metrics import (
     best_improvement,
     improvement_pct,
@@ -94,7 +95,7 @@ class TestRendering:
             Fig1Row("55W", "16, guided, 8", 1.0, 1.5),
             Fig1Row("NO CAP", "32, static, default", 2.0, None),
         ]
-        out = render_fig1(rows)
+        out = render_fig1(rows, "Fig 1")
         assert "55W" in out and "33.3%" in out and "NO CAP" in out
 
     def test_features(self):
@@ -138,16 +139,16 @@ class TestRendering:
 
     def test_fig9(self):
         rows = [Fig9Row("EvalEOSForElems_", 1920, 1.5, 0.6, 0.8)]
-        out = render_fig9(rows)
+        out = render_fig9(rows, "Fig 9")
         assert "EvalEOSForElems_" in out and "1920" in out
 
     def test_tables(self):
         out1 = render_table1(
-            [Table1Row("Chunk Size", "1, 8, default")]
+            [Table1Row("Chunk Size", "1, 8, default")], "Table I"
         )
         assert "Chunk Size" in out1
         out2 = render_table2(
-            [Table2Row("x_solve", "16, guided, 1")]
+            [Table2Row("x_solve", "16, guided, 1")], "Table II"
         )
         assert "x_solve" in out2
 
@@ -169,7 +170,8 @@ class TestRenderingGoldens:
             Fig1Row("NO CAP", "32, static, default", 2.0, None),
         ]
         self.check(
-            "render_fig1.txt", render_fig1(rows),
+            "render_fig1.txt",
+            render_fig1(rows, get_spec("fig1_motivation").title),
             goldens_dir, update_goldens,
         )
 
@@ -220,7 +222,8 @@ class TestRenderingGoldens:
             Fig9Row("CalcPressure_", 960, 0.25, 0.1, 0.05),
         ]
         self.check(
-            "render_fig9.txt", render_fig9(rows),
+            "render_fig9.txt",
+            render_fig9(rows, get_spec("fig9_lulesh_regions").title),
             goldens_dir, update_goldens,
         )
 
@@ -229,7 +232,8 @@ class TestRenderingGoldens:
             "render_table1.txt",
             render_table1(
                 [Table1Row("Chunk Size", "1, 8, default"),
-                 Table1Row("Thread Count", "2, 4, 8")]
+                 Table1Row("Thread Count", "2, 4, 8")],
+                get_spec("table1_search_space").title,
             ),
             goldens_dir, update_goldens,
         )
@@ -237,7 +241,8 @@ class TestRenderingGoldens:
             "render_table2.txt",
             render_table2(
                 [Table2Row("x_solve", "16, guided, 1"),
-                 Table2Row("y_solve", "32, dynamic, 8")]
+                 Table2Row("y_solve", "32, dynamic, 8")],
+                get_spec("table2_sp_optimal_configs").title,
             ),
             goldens_dir, update_goldens,
         )

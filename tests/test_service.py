@@ -11,6 +11,7 @@ measurement.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 
 import pytest
@@ -242,6 +243,24 @@ class TestDaemonClient:
             assert not td._thread.is_alive()
         # the write-behind buffer was flushed+fsynced before exit
         assert ServiceStore(tmp_path / "store").get("k") == {"v": 1}
+
+    def test_stop_with_open_connection_logs_no_error(
+        self, tmp_path, caplog
+    ):
+        """Stopping under a still-connected client hangs up on it:
+        its handler ends on EOF, not cancelled at loop teardown (which
+        asyncio reports as an error from the stream callback)."""
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            with ThreadedDaemon(tmp_path / "store") as td:
+                client = ServiceClient(td.address)
+                client.put("k", {"v": 1})
+                assert client.get("k") == {"v": 1}
+            assert not td.running
+        errors = [
+            r for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ]
+        assert errors == []
 
 
 # ---------------------------------------------------------------------------
