@@ -11,9 +11,13 @@ ARCS-Online run are measured:
 * **enabled + JSONL** - full event log streaming to disk, what
   ``repro run --telemetry`` pays.
 
-The hard gate here is the disabled case; the enabled cases are
-reported (and separately gated at 1.5x in CI via
-``tools/smoke_sweep.py --telemetry-dir``).
+``test_telemetry_overhead`` asserts best-of-5 ratios against the
+disabled run: ``no_sink / disabled < 1.30`` and
+``jsonl / disabled < 1.60``.  CI deselects that test, because its
+wall-clock ratios fail on shared hosts; ``tools/smoke_sweep.py
+--telemetry-dir`` gates a different ratio (an SP-B sweep at 1.5x) and
+does not stand in for it.  ``test_disabled_hooks_are_noops`` gates the
+disabled hooks at under 1 microsecond per operation, and CI runs it.
 """
 
 from __future__ import annotations

@@ -101,7 +101,8 @@ class PolicyEngine:
     def timer_started(self, context: TimerEventContext) -> None:
         for policy in list(self._policies):
             policy.on_timer_start(context)
-        self._fire_periodic(context.now_s)
+        if self._periodic:
+            self._fire_periodic(context.now_s)
 
     def timer_stopped(self, context: TimerEventContext) -> None:
         if context.elapsed_s is None:
@@ -109,7 +110,8 @@ class PolicyEngine:
         self.profile.observe(context.timer_name, context.elapsed_s)
         for policy in list(self._policies):
             policy.on_timer_stop(context)
-        self._fire_periodic(context.now_s)
+        if self._periodic:
+            self._fire_periodic(context.now_s)
 
     def shutdown(self) -> None:
         for policy in list(self._policies):

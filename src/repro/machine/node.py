@@ -142,8 +142,15 @@ class SimulatedNode:
     def deposit_energy(self, socket: int, joules: float) -> None:
         self.rapl.deposit_energy(socket, joules, self._now_s)
 
-    def deposit_dram_energy(self, socket: int, joules: float) -> None:
-        self.rapl.deposit_dram_energy(socket, joules, self._now_s)
+    def deposit_region_energy(
+        self, per_socket: float, dram_per_socket: float
+    ) -> None:
+        """Deposit one region execution's energy: ``per_socket`` joules
+        into every package and ``dram_per_socket`` into every DRAM
+        domain."""
+        self.rapl.deposit_region_energy(
+            per_socket, dram_per_socket, self._now_s
+        )
 
     def read_package_energy_j(self) -> float:
         """Node-total package energy (sum over sockets), flushing

@@ -139,6 +139,10 @@ class Rapl:
             for (domain, socket), account in self._energy.items()
             if domain is RaplDomain.DRAM
         }
+        self._region_accounts = [
+            (s, self._package_accounts[s], self._dram_accounts[s])
+            for s in range(self.spec.sockets)
+        ]
 
     # ------------------------------------------------------------------
     # power capping (PACKAGE domain only, as on the paper's machines)
@@ -227,10 +231,27 @@ class Rapl:
             self._flush(account, address, socket)
             account.last_update_s = boundary
 
-    def deposit_dram_energy(
-        self, socket: int, joules: float, now_s: float
+    def deposit_region_energy(
+        self, joules: float, dram_joules: float, now_s: float
     ) -> None:
-        self.deposit_energy(socket, joules, now_s, RaplDomain.DRAM)
+        """``deposit_energy`` of ``joules`` (package) then ``dram_joules``
+        (DRAM) for each socket in turn, in one call."""
+        if not joules >= 0:
+            require_nonnegative("joules", joules)
+        if not dram_joules >= 0:
+            require_nonnegative("dram_joules", dram_joules)
+        boundary = (
+            int(now_s / self.update_interval_s) * self.update_interval_s
+        )
+        for socket, package, dram in self._region_accounts:
+            package.pending_j += joules
+            if boundary > package.last_update_s:
+                self._flush(package, MSR_PKG_ENERGY_STATUS, socket)
+                package.last_update_s = boundary
+            dram.pending_j += dram_joules
+            if boundary > dram.last_update_s:
+                self._flush(dram, MSR_DRAM_ENERGY_STATUS, socket)
+                dram.last_update_s = boundary
 
     def _flush(
         self, account: _EnergyAccount, address: int, socket: int

@@ -112,12 +112,11 @@ class ExecutionEngine:
                 _batch.memo_put(mkey, record)
             self._record_cache[key] = record
         # side effects: clock + energy counters
-        per_socket = record.energy_j / spec.sockets
-        dram_per_socket = record.dram_energy_j / spec.sockets
         self.node.advance(record.time_s)
-        for socket in range(spec.sockets):
-            self.node.deposit_energy(socket, per_socket)
-            self.node.deposit_dram_energy(socket, dram_per_socket)
+        self.node.deposit_region_energy(
+            record.energy_j / spec.sockets,
+            record.dram_energy_j / spec.sockets,
+        )
         return record
 
     # ------------------------------------------------------------------

@@ -83,6 +83,8 @@ class OmptInterface:
         default_factory=lambda: defaultdict(list)
     )
     _next_parallel_id: int = 1
+    #: events with a callback: the runtime asks every region invocation
+    _subscribed: frozenset[OmptEvent] = field(default=frozenset(), init=False)
 
     def register(self, event: OmptEvent, callback: Callback) -> None:
         """Register ``callback`` for ``event`` (multiple tools may
@@ -90,6 +92,7 @@ class OmptInterface:
         if not callable(callback):
             raise TypeError("callback must be callable")
         self._callbacks[event].append(callback)
+        self._subscribed = self._subscribed | {event}
 
     def unregister(self, event: OmptEvent, callback: Callback) -> None:
         try:
@@ -98,22 +101,31 @@ class OmptInterface:
             raise ValueError(
                 f"callback not registered for {event}"
             ) from None
+        if not self._callbacks[event]:
+            self._subscribed = self._subscribed - {event}
 
     def has_tool(self) -> bool:
         """True if any callback is registered - the runtime skips event
         construction entirely otherwise (OMPT's 'minimal overhead when
         not in use' design objective)."""
-        return any(self._callbacks.values())
+        return bool(self._subscribed)
 
     def has_callbacks(self, events: tuple[OmptEvent, ...]) -> bool:
         """True if a callback is registered for any of ``events``."""
-        callbacks = self._callbacks
-        return any(callbacks.get(event) for event in events)
+        return not self._subscribed.isdisjoint(events)
 
     def new_parallel_id(self) -> int:
         pid = self._next_parallel_id
         self._next_parallel_id += 1
         return pid
+
+    def count_dispatches(self, events: tuple[OmptEvent, ...]) -> None:
+        """Bump the bus counters :meth:`dispatch` would bump for
+        ``events``, for events no tool subscribes to."""
+        tb = bus()
+        tb.count("ompt.dispatch", len(events))
+        for event in events:
+            tb.count(_DISPATCH_COUNTERS[event])
 
     def dispatch(self, event: OmptEvent, payload: object) -> None:
         tb = bus()

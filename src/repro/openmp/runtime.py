@@ -23,7 +23,7 @@ from repro.openmp.ompt import (
 )
 from repro.openmp.records import RegionExecutionRecord
 from repro.openmp.region import RegionProfile
-from repro.openmp.types import OMPConfig, ScheduleKind
+from repro.openmp.types import OMPConfig, ScheduleKind, default_config
 from repro.telemetry.bus import bus
 from repro.util.rng import IndexedStream
 from repro.util.validation import require_nonnegative
@@ -65,11 +65,11 @@ class OpenMPRuntime:
         self.noise_sigma = noise_sigma
         #: ``rng_for(seed, "noise", call_index)``, one draw per call
         self._noise = IndexedStream(seed, "noise")
-        self._num_threads = node.spec.total_hw_threads
-        self._schedule: tuple[ScheduleKind, int | None] = (
-            ScheduleKind.STATIC,
-            None,
-        )
+        #: the configuration subsequent regions run with, rebuilt only by
+        #: the omp_set_* routines and restore
+        self._config = default_config(node.spec.total_hw_threads)
+        #: config-call energy by (socket-0 effective cap, DVFS limit)
+        self._config_call_energy_j: dict[tuple, float] = {}
         self._call_index = 0
         self.config_change_time_s = 0.0
         self.config_change_calls = 0
@@ -95,7 +95,7 @@ class OpenMPRuntime:
         return self.node.spec.total_hw_threads
 
     def omp_get_num_threads(self) -> int:
-        return self._num_threads
+        return self._config.n_threads
 
     def omp_set_num_threads(self, n_threads: int) -> None:
         """Set the team size for subsequent regions.  Costs real time -
@@ -106,10 +106,12 @@ class OpenMPRuntime:
                 f"got {n_threads}"
             )
         self._charge_config_call()
-        self._num_threads = n_threads
+        self._config = OMPConfig(
+            n_threads, self._config.schedule, self._config.chunk
+        )
 
     def omp_get_schedule(self) -> tuple[ScheduleKind, int | None]:
-        return self._schedule
+        return self._config.schedule, self._config.chunk
 
     def omp_set_schedule(
         self, kind: ScheduleKind, chunk: int | None = None
@@ -120,7 +122,7 @@ class OpenMPRuntime:
         if chunk is not None and chunk < 1:
             raise ValueError(f"chunk must be >= 1 or None, got {chunk}")
         self._charge_config_call()
-        self._schedule = (kind, chunk)
+        self._config = OMPConfig(self._config.n_threads, kind, chunk)
 
     def set_frequency_limit(self, freq_ghz: float | None) -> None:
         """Apply a userspace DVFS ceiling for subsequent regions (the
@@ -139,23 +141,20 @@ class OpenMPRuntime:
         self.config_change_time_s += CONFIG_CALL_OVERHEAD_S
         self.config_change_calls += 1
         # the calling core burns active power during the runtime call
-        socket0_f = self.node.frequency_for_team(
-            self.node.topology.place(1)
-        )[0]
-        self.node.deposit_energy(
-            0,
-            (
-                self.node.power.core_dynamic_w(socket0_f)
-                + self.node.power.uncore_w(socket0_f)
-            )
-            * CONFIG_CALL_OVERHEAD_S,
-        )
+        node = self.node
+        key = (node.effective_cap_w(0), node.frequency_limit_ghz)
+        joules = self._config_call_energy_j.get(key)
+        if joules is None:
+            socket0_f = node.frequency_for_team(node.topology.place(1))[0]
+            joules = (
+                node.power.core_dynamic_w(socket0_f)
+                + node.power.uncore_w(socket0_f)
+            ) * CONFIG_CALL_OVERHEAD_S
+            self._config_call_energy_j[key] = joules
+        node.deposit_energy(0, joules)
 
     def current_config(self) -> OMPConfig:
-        kind, chunk = self._schedule
-        return OMPConfig(
-            n_threads=self._num_threads, schedule=kind, chunk=chunk
-        )
+        return self._config
 
     def hint_probes(
         self, region_name: str, configs: tuple[OMPConfig, ...]
@@ -177,10 +176,9 @@ class OpenMPRuntime:
         every subsequent measurement byte-identical to the
         uninterrupted run.  The engine's record cache is pure
         memoization and is rebuilt on demand."""
-        kind, chunk = self._schedule
         return {
-            "num_threads": self._num_threads,
-            "schedule": [kind.value, chunk],
+            "num_threads": self._config.n_threads,
+            "schedule": [self._config.schedule.value, self._config.chunk],
             "call_index": self._call_index,
             "config_change_time_s": self.config_change_time_s,
             "config_change_calls": self.config_change_calls,
@@ -188,9 +186,9 @@ class OpenMPRuntime:
         }
 
     def restore(self, blob: dict) -> None:
-        self._num_threads = int(blob["num_threads"])
         kind, chunk = blob["schedule"]
-        self._schedule = (
+        self._config = OMPConfig(
+            int(blob["num_threads"]),
             ScheduleKind(kind),
             None if chunk is None else int(chunk),
         )
@@ -220,7 +218,7 @@ class OpenMPRuntime:
                 ParallelBeginPayload(
                     region_name=region.name,
                     parallel_id=parallel_id,
-                    requested_team_size=self._num_threads,
+                    requested_team_size=self._config.n_threads,
                     timestamp_s=self.node.now_s,
                 ),
             )
@@ -231,9 +229,9 @@ class OpenMPRuntime:
             # side effects exactly as the scalar path would.
             self.engine.prefetch(region, hints)
         tb = bus()
+        config = self._config
         if tb.enabled:
             begin, seq = tb.span_begin()
-            config = self.current_config()
             record = self.engine.execute(region, config)
             record = self._apply_noise(record)
             tb.span_finish(
@@ -246,15 +244,14 @@ class OpenMPRuntime:
             tb.count("omp.regions")
             tb.observe("omp.region_time_s", record.time_s)
         else:
-            record = self.engine.execute(region, self.current_config())
+            record = self.engine.execute(region, config)
             record = self._apply_noise(record)
         if ompt_active:
             if self.ompt.has_callbacks(_AGGREGATE_EVENTS):
                 self._dispatch_aggregates(region.name, parallel_id, record)
             elif tb.enabled:
-                # no tool listens: dispatch only feeds the bus counters
-                for event in _AGGREGATE_EVENTS:
-                    self.ompt.dispatch(event, None)
+                # no tool listens: only the bus counters move
+                self.ompt.count_dispatches(_AGGREGATE_EVENTS)
             self.ompt.dispatch(
                 OmptEvent.PARALLEL_END,
                 ParallelEndPayload(
@@ -287,11 +284,10 @@ class OpenMPRuntime:
         delta_t = record.time_s * (factor - 1.0)
         self.node.advance(delta_t)
         sockets = self.node.spec.sockets
-        per_socket = record.energy_j * (factor - 1.0) / sockets
-        dram_per_socket = record.dram_energy_j * (factor - 1.0) / sockets
-        for socket in range(sockets):
-            self.node.deposit_energy(socket, per_socket)
-            self.node.deposit_dram_energy(socket, dram_per_socket)
+        self.node.deposit_region_energy(
+            record.energy_j * (factor - 1.0) / sockets,
+            record.dram_energy_j * (factor - 1.0) / sockets,
+        )
         return RegionExecutionRecord(
             region_name=record.region_name,
             config=record.config,

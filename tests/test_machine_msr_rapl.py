@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from repro.machine.msr import (
+    MSR_DRAM_ENERGY_STATUS,
     MSR_PKG_ENERGY_STATUS,
     MSR_PKG_POWER_LIMIT,
     MSR_RAPL_POWER_UNIT,
     MsrFile,
 )
+from repro.machine.node import SimulatedNode
 from repro.machine.rapl import Rapl, RaplDomain
 from repro.machine.spec import crill, minotaur
 
@@ -198,3 +201,37 @@ class TestRaplRestore:
         restored.restore(blob["rapl"])
         _deposit_all(restored, _AFTER)
         assert _state(restored, fresh_msr) == _PINNED
+
+
+# ---------------------------------------------------------------------------
+# the fused per-region deposit against the per-domain reference
+# ---------------------------------------------------------------------------
+def test_region_deposit_matches_per_domain_deposits():
+    """``deposit_region_energy`` leaves the raw counters, wrap counts and
+    pending energy bit-equal to package-then-DRAM ``deposit_energy``
+    calls per socket, across update boundaries and a counter wrap."""
+    rng = random.Random(20161017)
+    node = SimulatedNode(crill())
+    reference = Rapl(crill(), MsrFile(sockets=2))
+
+    def state(rapl, msr):
+        return json.dumps([
+            [msr.read(socket, address)
+             for socket in range(2)
+             for address in (MSR_PKG_ENERGY_STATUS, MSR_DRAM_ENERGY_STATUS)],
+            rapl.snapshot()["energy"],
+        ])
+
+    for step in range(300):
+        # mostly sub-interval advances, some spanning several intervals
+        node.advance(rng.choice([0.0, rng.uniform(0.0, 2.5e-3)]))
+        joules = 70000.0 if step == 150 else rng.uniform(0.0, 3.0)
+        dram_joules = rng.uniform(0.0, 0.5)
+        node.deposit_region_energy(joules, dram_joules)
+        for socket in range(2):
+            reference.deposit_energy(socket, joules, node.now_s, _PKG)
+            reference.deposit_energy(socket, dram_joules, node.now_s, _DRAM)
+        assert state(node.rapl, node.msr) == state(reference, reference.msr)
+    accounts = node.rapl.snapshot()["energy"]
+    assert [wraps for domain, *_, wraps in accounts] == [0, 0, 1, 1]
+    assert all(pending > 0 for _, _, pending, _, _ in accounts)

@@ -11,7 +11,7 @@ from repro.machine.node import SimulatedNode
 from repro.machine.spec import crill
 from repro.openmp.ompt import OmptEvent
 from repro.openmp.runtime import CONFIG_CALL_OVERHEAD_S, OpenMPRuntime
-from repro.openmp.types import ScheduleKind
+from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.util.rng import _FIRST_BLOCK, rng_for
 from tests.test_openmp_engine import make_region
 
@@ -49,6 +49,76 @@ class TestOmpRoutines:
         assert (cfg.n_threads, cfg.schedule, cfg.chunk) == (
             4, ScheduleKind.DYNAMIC, 2,
         )
+
+
+#: steps driving the runtime's cached state: omp_set_* calls, cap
+#: writes (pending, then settled), DVFS ceilings and checkpoint restores
+_STATE_STEPS = {
+    "omp-calls": [
+        ("threads", 8), ("schedule", ScheduleKind.GUIDED, 16),
+        ("threads", 8), ("restore",),
+        ("schedule", ScheduleKind.STATIC, None),
+    ],
+    "cap-change": [
+        ("threads", 4), ("cap", 30.0), ("threads", 8), ("settle",),
+        ("threads", 16), ("schedule", ScheduleKind.DYNAMIC, 1),
+        ("cap", 25.0), ("settle",), ("threads", 2), ("cap", None),
+        ("settle",), ("threads", 4), ("restore",),
+    ],
+    "dvfs-ceiling": [
+        ("threads", 4), ("freq", 1.2), ("threads", 8),
+        ("schedule", ScheduleKind.GUIDED, 8), ("cap", 30.0), ("settle",),
+        ("threads", 16), ("freq", None), ("restore",), ("threads", 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("steps", _STATE_STEPS.values(), ids=_STATE_STEPS)
+def test_cached_runtime_state_matches_its_sources(steps, monkeypatch):
+    """The held config equals the omp_get_* values after every step, and
+    each config-call deposit equals the uncached formula bit for bit."""
+    node = SimulatedNode(crill())
+    runtime = OpenMPRuntime(node, noise_sigma=0.0)
+    deposits = []
+    deposit = node.deposit_energy
+
+    def spy(socket, joules):
+        f = node.frequency_for_team(node.topology.place(1))[0]
+        expected = (
+            node.power.core_dynamic_w(f) + node.power.uncore_w(f)
+        ) * CONFIG_CALL_OVERHEAD_S
+        deposits.append((socket, joules, expected))
+        deposit(socket, joules)
+
+    monkeypatch.setattr(node, "deposit_energy", spy)
+    for step in steps:
+        kind, *args = step
+        if kind == "threads":
+            runtime.omp_set_num_threads(*args)
+        elif kind == "schedule":
+            runtime.omp_set_schedule(*args)
+        elif kind == "cap":
+            node.set_power_cap(*args)
+        elif kind == "settle":
+            node.settle_after_cap()
+        elif kind == "freq":
+            runtime.set_frequency_limit(*args)
+        else:
+            blob = json.loads(json.dumps(runtime.snapshot()))
+            fresh = OpenMPRuntime(SimulatedNode(crill()))
+            fresh.restore(blob)
+            assert fresh.current_config() == runtime.current_config()
+            runtime.restore(blob)
+        assert runtime.current_config() == OMPConfig(
+            runtime.omp_get_num_threads(), *runtime.omp_get_schedule()
+        )
+    assert deposits
+    for socket, joules, expected in deposits:
+        assert (socket, joules) == (0, expected)
+    if any(kind in ("cap", "freq") for kind, *_ in steps):
+        # the key changed mid-sequence, so the cache was both hit and
+        # refilled
+        assert len({expected for _, _, expected in deposits}) > 1
 
 
 class TestConfigChangeOverhead:
