@@ -39,7 +39,7 @@ def run_ablation():
         )
         evals = 0
         while not session.converged and evals < space.size + 10:
-            point = session.suggest()
+            point = session.space.decode(session.suggest())
             session.report(objective(point))
             evals += 1
         results[name] = (session.best_value(), evals)

@@ -99,7 +99,7 @@ def _tune(space, strategy, objective):
     session = TuningSession(space, strategy)
     evals = 0
     while not session.converged and evals < space.size + 10:
-        point = session.suggest()
+        point = session.space.decode(session.suggest())
         session.report(objective(point))
         evals += 1
     assert session.converged

@@ -60,12 +60,17 @@ def objective(point):
     return 1.0 + 0.3 * point["a"] + 0.7 * point["b"]
 
 
+def suggested(session):
+    """The session's next suggestion, decoded."""
+    return session.space.decode(session.suggest())
+
+
 class TestSessionSnapshot:
     def test_midsearch_roundtrip_continues_identically(self):
         space = space3()
         original = nm_session(space)
         for _ in range(6):
-            original.report(objective(original.suggest()))
+            original.report(objective(suggested(original)))
 
         restored = nm_session(space)
         restored.restore(
@@ -74,8 +79,8 @@ class TestSessionSnapshot:
         for _ in range(30):
             if original.converged or original.failed:
                 break
-            original.report(objective(original.suggest()))
-            restored.report(objective(restored.suggest()))
+            original.report(objective(suggested(original)))
+            restored.report(objective(suggested(restored)))
         assert restored.best_point() == original.best_point()
         assert restored.best_value() == original.best_value()
         assert restored.search_values == original.search_values
@@ -84,7 +89,7 @@ class TestSessionSnapshot:
     def test_outstanding_candidate_survives(self):
         space = space3()
         original = nm_session(space)
-        original.report(objective(original.suggest()))
+        original.report(objective(suggested(original)))
         outstanding = original.suggest()   # asked, not yet reported
         restored = nm_session(space)
         restored.restore(original.snapshot())
@@ -94,7 +99,7 @@ class TestSessionSnapshot:
         space = space3()
         original = nm_session(space, seed=11)
         for _ in range(4):
-            original.report(objective(original.suggest()))
+            original.report(objective(suggested(original)))
         blob = original.snapshot()
         # rewrite the first tell to a point the strategy never asked
         first = blob["events"][0][1]
@@ -110,7 +115,7 @@ class TestSessionSnapshot:
         space = space3()
         original = nm_session(space)
         for _ in range(4):
-            original.report(objective(original.suggest()))
+            original.report(objective(suggested(original)))
         blob = original.snapshot()
         blob["best"][1] = blob["best"][1] / 2
         fresh = nm_session(space)

@@ -358,7 +358,7 @@ class TestSessionGuard:
             session.report(float("nan"))
         assert "diverged" in session.failure_reason
         # a failed session with history still serves its best point
-        assert session.suggest() == {"n_threads": 1}
+        assert session.space.decode(session.suggest()) == {"n_threads": 1}
 
     def test_failed_session_without_best_raises(self):
         guard = MeasurementGuard(warmup=1, max_rejects=1, max_restarts=0)

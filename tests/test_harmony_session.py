@@ -23,12 +23,17 @@ def objective(point):
     return 1.0 + point["a"] + 2 * point["b"]
 
 
+def suggested(session):
+    """The session's next suggestion, decoded."""
+    return session.space.decode(session.suggest())
+
+
 class TestSessionProtocol:
     def test_suggest_then_report_loop(self):
         space = space2()
         session = TuningSession(space, ExhaustiveSearch(space))
         while not session.converged:
-            point = session.suggest()
+            point = suggested(session)
             session.report(objective(point))
         assert session.best_point() == {"a": 0, "b": 0}
         assert session.best_value() == 1.0
@@ -44,15 +49,15 @@ class TestSessionProtocol:
         space = space2()
         session = TuningSession(space, ExhaustiveSearch(space))
         while not session.converged:
-            session.report(objective(session.suggest()))
+            session.report(objective(suggested(session)))
         for _ in range(3):
-            assert session.suggest() == {"a": 0, "b": 0}
+            assert suggested(session) == {"a": 0, "b": 0}
 
     def test_reports_after_convergence_ignored_by_strategy(self):
         space = space2()
         session = TuningSession(space, ExhaustiveSearch(space))
         while not session.converged:
-            session.report(objective(session.suggest()))
+            session.report(objective(suggested(session)))
         best = session.best_value()
         session.suggest()
         session.report(0.0001)       # post-convergence measurement
@@ -71,7 +76,7 @@ class TestSessionProtocol:
         space = space2()
         session = TuningSession(space, ExhaustiveSearch(space))
         while not session.converged:
-            session.report(objective(session.suggest()))
+            session.report(objective(suggested(session)))
         assert session.stats.converged_at_report == space.size
         assert session.stats.reports == space.size
 
@@ -79,7 +84,7 @@ class TestSessionProtocol:
         space = space2()
         session = TuningSession(space, ExhaustiveSearch(space))
         while not session.converged:
-            session.report(objective(session.suggest()))
+            session.report(objective(suggested(session)))
         assert len(session.search_values) == space.size
 
     def test_mismatched_space_rejected(self):
@@ -94,5 +99,5 @@ class TestSessionProtocol:
             space, NelderMeadSearch(space, max_evals=20)
         )
         while not session.converged:
-            session.report(objective(session.suggest()))
+            session.report(objective(suggested(session)))
         assert session.best_point() is not None
