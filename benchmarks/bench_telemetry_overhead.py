@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.experiments.runner import ExperimentSetup, run_arcs_online
 from repro.machine.spec import crill
-from repro.telemetry import JsonlSink, TelemetryBus, install
+from repro.telemetry import JsonlSink, TelemetryBus, telemetry_session
 from repro.util.tables import format_table
 from repro.workloads.synthetic import synthetic_application
 
@@ -57,25 +57,14 @@ def _run_disabled():
 
 
 def _run_enabled_no_sink():
-    tb = TelemetryBus(enabled=True)
-    previous = install(tb)
-    try:
+    with telemetry_session():
         run_arcs_online(_app(), _setup())
-    finally:
-        install(previous)
-        tb.close()
 
 
 def _run_enabled_jsonl():
     with tempfile.TemporaryDirectory() as tmp:
-        tb = TelemetryBus(enabled=True)
-        tb.add_sink(JsonlSink(Path(tmp) / "telemetry.jsonl"))
-        previous = install(tb)
-        try:
+        with telemetry_session(JsonlSink(Path(tmp) / "telemetry.jsonl")):
             run_arcs_online(_app(), _setup())
-        finally:
-            install(previous)
-            tb.close()
 
 
 def test_telemetry_overhead(save_result):

@@ -240,7 +240,7 @@ def _gen_capsched_timeline(options: GenOptions) -> list[dict]:
     from repro.core.capschedule import CapEvent, CapSchedule
     from repro.experiments.runner import ExperimentSetup, run_strategy
     from repro.faults.plan import FaultPlan, FaultSpec
-    from repro.telemetry import JsonlSink, TelemetryBus, install
+    from repro.telemetry import JsonlSink, telemetry_session
     from repro.workloads.registry import application_by_name
 
     app = dataclasses.replace(
@@ -269,14 +269,8 @@ def _gen_capsched_timeline(options: GenOptions) -> list[dict]:
         ),
     )
     with tempfile.TemporaryDirectory() as tmp:
-        scratch = TelemetryBus(enabled=True)
-        scratch.add_sink(JsonlSink(Path(tmp) / "telemetry.jsonl"))
-        previous = install(scratch)
-        try:
+        with telemetry_session(JsonlSink(Path(tmp) / "telemetry.jsonl")):
             run_strategy("default", app, setup)
-        finally:
-            install(previous)
-            scratch.close()
         return capsched_timeline_records(tmp)
 
 
@@ -294,7 +288,7 @@ def _gen_service_hit_rate(options: GenOptions) -> list[dict]:
     from repro.service.client import ServiceClient
     from repro.service.daemon import ThreadedDaemon
     from repro.service.source import default_chain
-    from repro.telemetry import TelemetryBus, install
+    from repro.telemetry import telemetry_session
     from repro.workloads.registry import application_by_name
 
     app = dataclasses.replace(
@@ -309,10 +303,8 @@ def _gen_service_hit_rate(options: GenOptions) -> list[dict]:
                 client.get(f"figure-key-{i:02d}")  # store hits
             for i in range(8):
                 client.get(f"absent-key-{i:02d}")  # store misses
-            scratch = TelemetryBus(enabled=True)
-            previous = install(scratch)
             memo: dict[str, dict] = {}
-            try:
+            with telemetry_session() as scratch:
                 for cap in (85.0, 115.0):
                     setup = ExperimentSetup(
                         spec=crill(), cap_w=cap, repeats=1, seed=0
@@ -333,9 +325,6 @@ def _gen_service_hit_rate(options: GenOptions) -> list[dict]:
                         "arcs-offline", app, setup, source=chain
                     )
                 counters = dict(scratch.metrics.counters)
-            finally:
-                install(previous)
-                scratch.close()
             stats = client.stats()
         return service_hit_rate_records(
             stats, counters, ("service", "memo")

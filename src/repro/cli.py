@@ -60,13 +60,12 @@ from repro.supervise import RunAbortedError
 from repro.machine.spec import machine_by_name
 from repro.telemetry import (
     JsonlSink,
-    TelemetryBus,
     bus,
     export_chrome_trace,
-    install,
     load_telemetry_dir,
     render_decision_timeline,
     render_metrics_summary,
+    telemetry_session,
 )
 from repro.util.jsonlog import LogMismatchError
 from repro.util.log import LEVELS as _LOG_LEVELS
@@ -477,25 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _telemetry_session(directory: str, filename: str, **meta):
-    """Install an enabled bus writing ``DIR/filename`` for the span of
-    one CLI command; always restores the previous bus, closes the log
-    (flushing aggregated metrics) and regenerates ``trace.json``."""
+    """A :func:`~repro.telemetry.telemetry_session` writing
+    ``DIR/filename`` for the span of one CLI command; always
+    regenerates ``trace.json``.  The command's trace is rooted at a deterministic
+    per-invocation id, so `repro trace --tree` stitches one tree per
+    CLI command."""
     out = Path(directory)
-    session = TelemetryBus(enabled=True)
-    session.add_sink(JsonlSink(out / filename))
-    # root the command's trace: every span recorded under this session
-    # becomes a descendant of a deterministic per-invocation trace id,
-    # so `repro trace --tree` stitches one tree per CLI command.  Set
-    # before meta() so the meta record itself is trace-stamped and can
-    # label the synthesized root node.
-    session.trace = root_context(**meta)
-    session.meta(**meta)
-    previous = install(session)
     try:
-        yield session
+        with telemetry_session(
+            JsonlSink(out / filename), trace=root_context(**meta), **meta
+        ) as session:
+            yield session
     finally:
-        install(previous)
-        session.close()
         export_chrome_trace(out)
 
 

@@ -31,6 +31,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from repro.faults.inject import FaultInjector
 from repro.faults.plan import DEFAULT_HANG_S, FaultPlan, plan_fingerprint
 from repro.machine.spec import MachineSpec
 from repro.obs.trace import TraceContext, child_context, root_context
-from repro.telemetry.bus import TelemetryBus, bus, install
+from repro.telemetry.bus import bus, telemetry_session
 from repro.telemetry.sinks import JsonlSink
 from repro.workloads.base import Application
 
@@ -209,6 +210,30 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
                 ),
             )
     if task.telemetry_dir is None:
+        session = nullcontext()
+    else:
+        run_id = task_run_id(task)
+        # adopt the parent sweep's trace handoff (or root a fresh
+        # trace): the session sets it before the meta record, so the
+        # meta is stamped as belonging to the handoff span - that stamp
+        # is how the tree stitcher labels the cross-process boundary
+        # node.
+        adopted = TraceContext.from_traceparent(task.trace)
+        session = telemetry_session(
+            JsonlSink(Path(task.telemetry_dir) / f"task-{run_id}.jsonl"),
+            trace=(
+                adopted
+                if adopted is not None
+                else root_context(run_id=run_id, task=task.label)
+            ),
+            run_id=run_id,
+            task=task.label,
+            strategy=task.strategy,
+            machine=task.spec.name,
+            cap_w=task.cap_w,
+            seed=task.seed,
+        )
+    with session:
         return run_strategy(
             task.strategy,
             task.app,
@@ -216,41 +241,6 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
             history=history,
             source=source,
         )
-    run_id = task_run_id(task)
-    task_bus = TelemetryBus(enabled=True)
-    task_bus.add_sink(
-        JsonlSink(Path(task.telemetry_dir) / f"task-{run_id}.jsonl")
-    )
-    # adopt the parent sweep's trace handoff (or root a fresh trace)
-    # BEFORE the meta record, so the meta is stamped as belonging to
-    # the handoff span - that stamp is how the tree stitcher labels
-    # the cross-process boundary node.
-    adopted = TraceContext.from_traceparent(task.trace)
-    task_bus.trace = (
-        adopted
-        if adopted is not None
-        else root_context(run_id=run_id, task=task.label)
-    )
-    task_bus.meta(
-        run_id=run_id,
-        task=task.label,
-        strategy=task.strategy,
-        machine=task.spec.name,
-        cap_w=task.cap_w,
-        seed=task.seed,
-    )
-    previous = install(task_bus)
-    try:
-        return run_strategy(
-            task.strategy,
-            task.app,
-            task.setup(),
-            history=history,
-            source=source,
-        )
-    finally:
-        install(previous)
-        task_bus.close()
 
 
 class _InjectedWorkerCrash(RuntimeError):

@@ -231,9 +231,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    def for_site(self, site: str) -> tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.site == site)
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,

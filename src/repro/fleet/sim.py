@@ -356,7 +356,9 @@ class FleetSimulation:
             # check every step against the global cap.
             tb.emit("fleet.budget_w", step=step, value=total)
 
-        # 5) advance cells (tunes fan out; the rest make progress).
+        # 5) advance cells: due tunes run one node at a time (their
+        # events are emitted once the step's last tune is done); the
+        # rest make progress.
         advancing: list[NodeCell] = []
         for node_id in self.roster:
             cell = self.cells[node_id]
@@ -374,13 +376,14 @@ class FleetSimulation:
                 cell.status = "running"
             advancing.append(cell)
         tuning = [cell for cell in advancing if cell.needs_tune()]
-        for cell, tune_events in zip(tuning, self._run_tunes(tuning)):
-            for event in tune_events:
-                self._emit(
-                    FleetEvent(
-                        step, event.kind, event.node, event.detail
-                    )
-                )
+        tune_events: list[FleetEvent] = []
+        for cell in tuning:
+            with traced_span("fleet.tune", node=cell.node_id):
+                tune_events.extend(cell.tune())
+        for event in tune_events:
+            self._emit(
+                FleetEvent(step, event.kind, event.node, event.detail)
+            )
         for cell in advancing:
             if cell in tuning:
                 continue  # the tune was this step's work
@@ -511,15 +514,6 @@ class FleetSimulation:
             site="fleet.cap_write",
             salt=(node_id,),
         )
-
-    def _run_tunes(
-        self, cells: list[NodeCell]
-    ) -> list[list[FleetEvent]]:
-        out = []
-        for cell in cells:
-            with traced_span("fleet.tune", node=cell.node_id):
-                out.append(cell.tune())
-        return out
 
     # ------------------------------------------------------------------
     def _snapshot(self) -> dict:

@@ -99,11 +99,6 @@ class SimplexSearchBase(SearchStrategy):
     def best(self) -> tuple[tuple[int, ...], float] | None:
         return self._best
 
-    @property
-    def evals_used(self) -> int:
-        """Real (uncached) measurements consumed so far."""
-        return self._evals
-
     def probe_preview(self) -> tuple[tuple[int, ...], ...]:
         """Before the first ask: the whole initial simplex (its vertex
         evaluation order is fixed), deduplicated after lattice

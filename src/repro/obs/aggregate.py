@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro.telemetry.metrics import HistogramStats
 from repro.telemetry.sinks import telemetry_files
+from repro.telemetry.timeline import merged_records
 
 #: default rollup window, in virtual seconds.
 DEFAULT_WINDOW_S = 1.0
@@ -155,23 +156,9 @@ class StreamAggregator:
     def consume_loaded(
         self, loaded: list[tuple[str, list[dict]]]
     ) -> "StreamAggregator":
-        """Fold a whole :func:`load_telemetry_dir` result in the same
-        deterministic (ts, file, seq) order as
-        :func:`~repro.telemetry.timeline.merged_records`."""
-        tagged: list[tuple[float, int, int, str, dict]] = []
-        for file_index, (stem, records) in enumerate(loaded):
-            for record in records:
-                tagged.append(
-                    (
-                        float(record.get("ts", 0.0)),
-                        file_index,
-                        int(record.get("seq", 0)),
-                        stem,
-                        record,
-                    )
-                )
-        tagged.sort(key=lambda item: (item[0], item[1], item[2]))
-        for _, _, _, stem, record in tagged:
+        """Fold a whole :func:`load_telemetry_dir` result in
+        :func:`~repro.telemetry.timeline.merged_records` order."""
+        for stem, record in merged_records(loaded):
             self.consume(stem, record)
         return self
 

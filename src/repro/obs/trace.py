@@ -110,21 +110,18 @@ def traced_span(name: str, **attrs: object) -> Iterator[dict]:
 
     Pushes a child of the ambient context for the duration of the
     body (so nested records are stamped as belonging to it), then
-    writes the span record with the full 3-key trace dict.  On a
-    disabled bus this yields a throwaway dict and records nothing;
-    on an enabled bus with no ambient context it degrades to a plain
-    :meth:`~repro.telemetry.bus.TelemetryBus.span`.
+    writes the span record with the full 3-key trace dict.  Yields a
+    mutable attribute dict: attributes added inside the body land on
+    the span record.  On a disabled bus this yields a throwaway dict
+    and records nothing; with no ambient context the span is written
+    without a trace dict.
     """
     tb = bus()
     if not tb.enabled:
         yield {}
         return
     parent = tb.trace
-    if parent is None:
-        with tb.span(name, **attrs) as span_attrs:
-            yield span_attrs
-        return
-    ctx = child_context(tb, parent)
+    ctx = None if parent is None else child_context(tb, parent)
     tb.trace = ctx
     span_attrs = dict(attrs)
     begin, seq = tb.span_begin()
@@ -138,7 +135,7 @@ def traced_span(name: str, **attrs: object) -> Iterator[dict]:
             name,
             begin,
             seq,
-            trace={
+            trace=None if ctx is None else {
                 "trace_id": ctx.trace_id,
                 "span_id": ctx.span_id,
                 "parent_id": ctx.parent_id,

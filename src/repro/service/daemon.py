@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.faults.inject import FaultInjector, make_injector
@@ -36,7 +37,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs.trace import TraceContext, root_context, traced_span
 from repro.service import protocol
 from repro.service.store import ServiceStore
-from repro.telemetry.bus import TelemetryBus, bus, install
+from repro.telemetry.bus import bus, telemetry_session
 from repro.telemetry.sinks import JsonlSink
 from repro.util.log import get_logger
 
@@ -257,11 +258,8 @@ def serve_forever(
     socket is bound.  ``telemetry_dir`` installs an enabled bus for
     the daemon's lifetime writing ``daemon.jsonl`` there (serve spans,
     store events, op counters)."""
-    session: TelemetryBus | None = None
-    old_bus: TelemetryBus | None = None
+    session = nullcontext()
     if telemetry_dir is not None:
-        session = TelemetryBus(enabled=True)
-        session.add_sink(JsonlSink(Path(telemetry_dir) / "daemon.jsonl"))
         # identify by the store *name*, never its absolute path:
         # records must not depend on where the tree was checked out
         identity = {
@@ -270,34 +268,33 @@ def serve_forever(
             "host": host,
             "port": port,
         }
-        session.meta(**identity)
-        session.trace = root_context(**identity)
-        old_bus = install(session)
-    kwargs = {} if capacity is None else {"capacity": capacity}
-    store = ServiceStore(store_dir, **kwargs)
-    daemon = ConfigServiceDaemon(
-        store,
-        host=host,
-        port=port,
-        faults=make_injector(fault_plan, salt="server"),
-    )
+        session = telemetry_session(
+            JsonlSink(Path(telemetry_dir) / "daemon.jsonl"),
+            trace=root_context(**identity),
+            **identity,
+        )
+    with session:
+        kwargs = {} if capacity is None else {"capacity": capacity}
+        store = ServiceStore(store_dir, **kwargs)
+        daemon = ConfigServiceDaemon(
+            store,
+            host=host,
+            port=port,
+            faults=make_injector(fault_plan, salt="server"),
+        )
 
-    async def _run() -> None:
-        await daemon.start()
-        if daemon_box is not None:
-            daemon_box.append(daemon)
-        if ready is not None:
-            ready.set()
-        await daemon.serve_until_stopped()
+        async def _run() -> None:
+            await daemon.start()
+            if daemon_box is not None:
+                daemon_box.append(daemon)
+            if ready is not None:
+                ready.set()
+            await daemon.serve_until_stopped()
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        store.close()
-    finally:
-        if session is not None:
-            session.close()
-            install(old_bus)
+        try:
+            asyncio.run(_run())
+        except KeyboardInterrupt:
+            store.close()
 
 
 class ThreadedDaemon:

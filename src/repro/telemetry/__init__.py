@@ -19,7 +19,12 @@ produce byte-identical event logs.
 
 from __future__ import annotations
 
-from repro.telemetry.bus import TelemetryBus, bus, install
+from repro.telemetry.bus import (
+    TelemetryBus,
+    bus,
+    install,
+    telemetry_session,
+)
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sinks import (
@@ -38,6 +43,7 @@ __all__ = [
     "TelemetryBus",
     "bus",
     "install",
+    "telemetry_session",
     "FlightRecorder",
     "MetricsRegistry",
     "JsonlSink",

@@ -22,9 +22,8 @@ the same seed produce byte-identical logs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
 from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from repro.telemetry.flight import DEFAULT_FLIGHT_SIZE, FlightRecorder
 from repro.telemetry.metrics import MetricsRegistry
@@ -102,41 +101,11 @@ class TelemetryBus:
             }
         )
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[dict]:
-        """Record a ``name`` span around the ``with`` body.
-
-        Yields a mutable attribute dict: attributes added inside the
-        body (e.g. the measured time/energy) land on the finished span
-        record.  Disabled buses yield a throwaway dict and record
-        nothing.
-        """
-        if not self.enabled:
-            yield {}
-            return
-        span_attrs = dict(attrs)
-        begin = self.now()
-        seq = self._next_seq()
-        try:
-            yield span_attrs
-        finally:
-            end = self.now()
-            self._record(
-                {
-                    "type": "span",
-                    "ts": begin,
-                    "seq": seq,
-                    "name": name,
-                    "dur": end - begin,
-                    "attrs": span_attrs,
-                }
-            )
-
     def span_begin(self) -> tuple[float, int]:
-        """Fast-path open for hand-rolled spans on hot paths (the
-        :meth:`span` contextmanager's generator machinery measurably
-        costs at per-region-invocation rates).  Pair with
-        :meth:`span_finish`; callers must check ``enabled`` first."""
+        """Open a span: its begin timestamp and sequence number.  Pair
+        with :meth:`span_finish`; callers must check ``enabled`` first
+        (hot paths hand-roll the pair rather than pay a contextmanager's
+        generator machinery per region invocation)."""
         return self.now(), self._next_seq()
 
     def span_finish(
@@ -148,10 +117,9 @@ class TelemetryBus:
         trace: dict | None = None,
         **attrs: object,
     ) -> None:
-        """Close a hand-rolled span; the record is byte-identical to
-        one produced by the :meth:`span` contextmanager.  ``trace``
-        (used by :func:`repro.obs.trace.traced_span`) attaches an
-        explicit trace dict, overriding the ambient stamp."""
+        """Close a span opened by :meth:`span_begin`.  ``trace`` (used
+        by :func:`repro.obs.trace.traced_span`) attaches an explicit
+        trace dict, overriding the ambient stamp."""
         if not self.enabled:
             return
         record = {
@@ -252,8 +220,8 @@ class TelemetryBus:
             sink.write(record)
 
 
-#: The process-wide bus.  Disabled by default; ``repro run --telemetry``
-#: (or a sweep worker) installs an enabled one.
+#: The process-wide bus.  Disabled by default; :func:`telemetry_session`
+#: installs an enabled one.
 _BUS = TelemetryBus(enabled=False)
 
 
@@ -268,3 +236,29 @@ def install(new_bus: TelemetryBus) -> TelemetryBus:
     old = _BUS
     _BUS = new_bus
     return old
+
+
+@contextmanager
+def telemetry_session(
+    sink=None, *, trace=None, **meta: object
+) -> Iterator[TelemetryBus]:
+    """Install an enabled bus for the span of the ``with`` body.
+
+    Attaches ``sink`` (when given), sets the ambient ``trace`` context,
+    then writes the ``meta`` header (when given) - in that order, so
+    the meta record is trace-stamped and can label the trace root.  On
+    exit the previous bus is always restored and the session bus
+    closed (flushing aggregated metrics and closing ``sink``).
+    """
+    session = TelemetryBus(enabled=True)
+    if sink is not None:
+        session.add_sink(sink)
+    session.trace = trace
+    if meta:
+        session.meta(**meta)
+    previous = install(session)
+    try:
+        yield session
+    finally:
+        install(previous)
+        session.close()

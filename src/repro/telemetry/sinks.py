@@ -31,11 +31,6 @@ _ENCODER = json.JSONEncoder(
 )
 
 
-def encode_record(record: dict) -> str:
-    """One canonical JSONL line (sorted keys, no NaN, compact)."""
-    return _ENCODER.encode(record)
-
-
 #: Live sinks flushed at interpreter exit.  Weak references: a sink
 #: that was properly closed (or garbage-collected) drops out on its
 #: own; only sinks still open when the process exits are flushed.

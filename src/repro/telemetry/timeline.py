@@ -33,30 +33,24 @@ TIMELINE_EVENTS = (
 )
 
 
-def merged_records(loaded: list[tuple[str, list[dict]]]) -> list[dict]:
-    """Merge per-file record lists into one (ts, seq)-ordered stream.
+def merged_records(
+    loaded: list[tuple[str, list[dict]]]
+) -> list[tuple[str, dict]]:
+    """Merge per-file record lists into one ``(stem, record)`` stream
+    in (ts, file, seq) order.
 
     Records from different files (sweep cells) interleave by virtual
     time; the per-file seq breaks ties within a file.  Shared by the
-    timeline renderer and the :mod:`repro.obs` aggregator/profiler.
+    timeline renderer and the :mod:`repro.obs` stream aggregator.
     """
-    merged: list[tuple[float, int, int, dict]] = []
-    for file_index, (_, records) in enumerate(loaded):
-        for record in records:
-            merged.append(
-                (
-                    float(record.get("ts", 0.0)),
-                    file_index,
-                    int(record.get("seq", 0)),
-                    record,
-                )
-            )
-    merged.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [item[3] for item in merged]
-
-
-#: Backwards-compatible private alias (pre-obs callers).
-_sorted_records = merged_records
+    merged = [
+        (float(record.get("ts", 0.0)), file_index,
+         int(record.get("seq", 0)), stem, record)
+        for file_index, (stem, records) in enumerate(loaded)
+        for record in records
+    ]
+    merged.sort(key=lambda item: item[:3])
+    return [(stem, record) for _, _, _, stem, record in merged]
 
 
 def render_decision_timeline(
@@ -75,7 +69,7 @@ def render_decision_timeline(
         lines.append("# " + " ".join(parts))
     pending: dict[str, dict] = {}
     n_decisions = 0
-    for record in _sorted_records(loaded):
+    for _, record in merged_records(loaded):
         if record.get("type") != "event":
             continue
         name = record.get("name")

@@ -13,7 +13,7 @@ from repro.machine.node import SimulatedNode
 from repro.machine.spec import crill
 from repro.openmp.ompt import DurationPayload, OmptEvent, OmptInterface
 from repro.openmp.runtime import OpenMPRuntime
-from repro.telemetry.bus import TelemetryBus, install
+from repro.telemetry.bus import telemetry_session
 from tests.test_openmp_engine import make_region
 
 
@@ -246,17 +246,13 @@ class TestLateAggregateSubscriber:
         )
 
     def test_dispatch_counters_with_the_bus_on(self):
-        tb = TelemetryBus(enabled=True)
-        previous = install(tb)
-        try:
+        with telemetry_session() as tb:
             runtime = _apex_runtime()
             for _ in range(4):
                 runtime.parallel_for(make_region())
             TauProfiler().attach(runtime)
             for _ in range(3):
                 runtime.parallel_for(make_region())
-        finally:
-            install(previous)
         counters = tb.metrics.counters
         assert counters["ompt.dispatch"] == 5 * 7
         for event in OmptEvent:

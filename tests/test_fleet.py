@@ -47,7 +47,7 @@ from repro.fleet.events import (
     FAULT_DEGRADATIONS,
     FleetEvent,
 )
-from repro.telemetry.bus import TelemetryBus, install
+from repro.telemetry.bus import telemetry_session
 from repro.util.jsonlog import LogMismatchError
 
 _EPS = 1e-6
@@ -234,15 +234,12 @@ class TestChaos:
         same serial tuning path, so its result is byte-identical to
         the untraced run's."""
         plan, _journal, untraced = crash_run
-        previous = install(TelemetryBus(enabled=True))
-        try:
+        with telemetry_session():
             traced = FleetSimulation(
                 plan,
                 crash_faults,
                 journal=FleetJournal(tmp_path / "traced.jsonl"),
             ).run()
-        finally:
-            install(previous)
         assert _result_json(traced) == _result_json(untraced)
 
 

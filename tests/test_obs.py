@@ -25,9 +25,8 @@ from repro.obs.slo import (
 )
 from repro.telemetry import (
     JsonlSink,
-    TelemetryBus,
-    install,
     read_jsonl,
+    telemetry_session,
 )
 
 SLO_EXAMPLE = "examples/slo.json"
@@ -248,17 +247,11 @@ class TestSloEngine:
         assert fired.alert.value == 8.0
 
     def test_alerts_are_emitted_as_typed_events(self, tmp_path):
-        tb = TelemetryBus(enabled=True)
-        tb.add_sink(JsonlSink(tmp_path / "obs.jsonl"))
-        previous = install(tb)
-        try:
+        with telemetry_session(JsonlSink(tmp_path / "obs.jsonl")):
             agg = self._agg(service__breaker_opens=1.0)
             rules = [{"name": "breaker", "kind": "counter_ceiling",
                       "counter": "service.breaker_opens", "max": 0}]
             outcomes = evaluate_rules(agg, rules)
-        finally:
-            install(previous)
-            tb.close()
         assert len(alerts(outcomes)) == 1
         records = read_jsonl(tmp_path / "obs.jsonl")
         [alert_event] = [

@@ -30,9 +30,9 @@ from repro.telemetry import (
     JsonlSink,
     TelemetryBus,
     bus,
-    install,
     load_telemetry_dir,
     read_jsonl,
+    telemetry_session,
 )
 from repro.workloads.synthetic import synthetic_application
 
@@ -43,19 +43,16 @@ def small_app():
 
 @pytest.fixture
 def session(tmp_path):
-    """An installed enabled bus with a rooted trace, mirroring what
-    ``_telemetry_session`` sets up for a CLI command."""
+    """An installed enabled bus with a rooted trace, as a CLI command
+    opens one."""
     out = tmp_path / "tel"
-    tb = TelemetryBus(enabled=True)
-    tb.add_sink(JsonlSink(out / "session.jsonl"))
-    tb.trace = root_context(command="test", seed=0)
-    tb.meta(command="test", seed=0)
-    previous = install(tb)
-    try:
+    with telemetry_session(
+        JsonlSink(out / "session.jsonl"),
+        trace=root_context(command="test", seed=0),
+        command="test",
+        seed=0,
+    ) as tb:
         yield tb, out
-    finally:
-        install(previous)
-        tb.close()
 
 
 def spans_by_name(records, name):
@@ -211,6 +208,23 @@ class TestClientDaemonBoundary:
                 serve["trace"]["parent_id"]
                 == request["trace"]["span_id"]
             )
+
+    def test_daemon_root_is_labelled_from_its_meta(self, tmp_path):
+        """The daemon's meta record carries its trace root, so the
+        stitcher labels that root ``session:serve``, not external."""
+        tel = tmp_path / "tel"
+        with ThreadedDaemon(tmp_path / "store", telemetry_dir=tel) as td:
+            client = ServiceClient(td.address)
+            client.put("some-key", {"payload": 1})
+            client.get("some-key")
+        [meta] = [
+            r for r in read_jsonl(tel / "daemon.jsonl")
+            if r["type"] == "meta"
+        ]
+        assert "trace" in meta
+        tree = render_trace_tree(load_telemetry_dir(tel))
+        assert "  - session:serve <daemon>" in tree
+        assert "(external)" not in tree
 
     def test_response_carries_daemon_span(self, session, tmp_path):
         tb, out = session

@@ -18,6 +18,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentSetup, run_arcs_online
 from repro.machine.spec import crill
+from repro.obs.trace import root_context, traced_span
 from repro.supervise import RunAbortedError
 from repro.telemetry import (
     FlightRecorder,
@@ -26,11 +27,11 @@ from repro.telemetry import (
     TelemetryBus,
     bus,
     export_chrome_trace,
-    install,
     load_telemetry_dir,
     read_jsonl,
     render_decision_timeline,
     render_metrics_summary,
+    telemetry_session,
 )
 from repro.workloads.synthetic import synthetic_application
 
@@ -40,14 +41,25 @@ def enabled_bus(tmp_path):
     """An installed, enabled bus writing ``out/telemetry.jsonl``;
     always restores the disabled default afterwards."""
     out = tmp_path / "out"
-    tb = TelemetryBus(enabled=True)
-    tb.add_sink(JsonlSink(out / "telemetry.jsonl"))
-    previous = install(tb)
-    try:
+    with telemetry_session(JsonlSink(out / "telemetry.jsonl")) as tb:
         yield tb, out
-    finally:
-        install(previous)
-        tb.close()
+
+
+class ListSink:
+    """An in-memory sink: records land in ``records``."""
+
+    def __init__(self):
+        self.records = []
+        self.closed = False
+
+    def write(self, record):
+        self.records.append(record)
+
+    def flush(self):
+        pass
+
+    def close(self):
+        self.closed = True
 
 
 def small_app():
@@ -71,8 +83,7 @@ class TestBus:
         tb.count("c")
         tb.gauge("g", 1.0)
         tb.observe("h", 1.0)
-        with tb.span("s") as attrs:
-            attrs["k"] = "v"  # must be accepted and discarded
+        tb.span_finish("s", 0.0, 0, k="v")  # accepted and discarded
         tb.meta(run="r")
         assert len(tb.flight) == 0
         assert not tb.metrics.counters
@@ -83,16 +94,9 @@ class TestBus:
 
     def test_events_carry_monotone_seq_and_ts(self):
         tb = TelemetryBus(enabled=True)
-        sink_records = []
-        tb.add_sink(
-            type(
-                "S", (), {
-                    "write": lambda self, r: sink_records.append(r),
-                    "flush": lambda self: None,
-                    "close": lambda self: None,
-                }
-            )()
-        )
+        sink = ListSink()
+        tb.add_sink(sink)
+        sink_records = sink.records
         clock = iter([1.0, 2.0, 3.0])
         tb.bind_clock(lambda: next(clock))
         tb.emit("a")
@@ -111,29 +115,40 @@ class TestBus:
         assert tb.now() == pytest.approx(5.5)
 
     def test_span_finish_matches_contextmanager_record(self):
-        records_a, records_b = [], []
+        """A ``traced_span`` with no ambient trace writes the same
+        record as a hand-rolled span_begin/span_finish pair."""
+        traced, fast = ListSink(), ListSink()
+        with telemetry_session(traced):
+            with traced_span("omp.region", region="r") as attrs:
+                attrs["time_s"] = 0.5
 
-        def collector(records):
-            return type(
-                "S", (), {
-                    "write": lambda self, r: records.append(r),
-                    "flush": lambda self: None,
-                    "close": lambda self: None,
-                }
-            )()
+        tb = TelemetryBus(enabled=True)
+        tb.add_sink(fast)
+        begin, seq = tb.span_begin()
+        tb.span_finish("omp.region", begin, seq, region="r", time_s=0.5)
+        assert traced.records == fast.records
 
-        cm = TelemetryBus(enabled=True)
-        cm.add_sink(collector(records_a))
-        with cm.span("omp.region", region="r") as attrs:
-            attrs["time_s"] = 0.5
+    def test_session_restores_previous_bus_when_body_raises(self):
+        sink = ListSink()
+        previous = bus()
+        with pytest.raises(RuntimeError, match="boom"):
+            with telemetry_session(sink) as tb:
+                assert bus() is tb and tb.enabled
+                raise RuntimeError("boom")
+        assert bus() is previous
+        assert sink.closed
 
-        fast = TelemetryBus(enabled=True)
-        fast.add_sink(collector(records_b))
-        begin, seq = fast.span_begin()
-        fast.span_finish(
-            "omp.region", begin, seq, region="r", time_s=0.5
-        )
-        assert records_a == records_b
+    def test_session_stamps_meta_with_its_trace(self):
+        sink = ListSink()
+        root = root_context(command="test")
+        with telemetry_session(sink, trace=root, command="test"):
+            pass
+        [meta] = sink.records
+        assert meta["type"] == "meta"
+        assert meta["attrs"] == {"command": "test"}
+        assert meta["trace"] == {
+            "trace_id": root.trace_id, "span_id": root.span_id,
+        }
 
     def test_close_flushes_metrics_and_is_idempotent(self, tmp_path):
         tb = TelemetryBus(enabled=True)
@@ -186,27 +201,19 @@ class TestFlightRecorder:
         assert "e9" in dump[-1]
 
     def test_run_aborted_error_carries_flight_dump(self):
-        tb = TelemetryBus(enabled=True)
-        previous = install(tb)
-        try:
+        with telemetry_session() as tb:
             tb.emit("supervise.retry", region="r", attempt=1)
             err = RunAbortedError("r", "kept failing")
-        finally:
-            install(previous)
         assert any("supervise.retry" in line for line in err.flight)
 
     def test_sweep_task_error_carries_flight_dump(self):
-        tb = TelemetryBus(enabled=True)
-        previous = install(tb)
         task = SweepTask(
             app=small_app(), spec=crill(), cap_w=None,
             strategy="default", repeats=1, seed=0,
         )
-        try:
+        with telemetry_session() as tb:
             tb.emit("sweep.task_retry", task="t", attempt=1)
             err = SweepTaskError(task, attempts=2, cause=ValueError("x"))
-        finally:
-            install(previous)
         assert any("sweep.task_retry" in line for line in err.flight)
 
 
@@ -226,7 +233,7 @@ class TestSinks:
     def test_chrome_trace_structure(self, enabled_bus):
         tb, out = enabled_bus
         tb.meta(run="test")
-        with tb.span("omp.region", region="r"):
+        with traced_span("omp.region", region="r"):
             pass
         tb.emit("cap.change", cap_from="tdp", cap_to="85W")
         tb.count("c")
@@ -246,17 +253,8 @@ class TestSinks:
 # ---------------------------------------------------------------------------
 class TestEndToEnd:
     def _run_with_telemetry(self, out, seed=3):
-        tb = TelemetryBus(enabled=True)
-        tb.add_sink(JsonlSink(out / "telemetry.jsonl"))
-        previous = install(tb)
-        try:
-            result = run_arcs_online(
-                small_app(), small_setup(seed=seed)
-            )
-        finally:
-            install(previous)
-            tb.close()
-        return result
+        with telemetry_session(JsonlSink(out / "telemetry.jsonl")):
+            return run_arcs_online(small_app(), small_setup(seed=seed))
 
     def test_event_taxonomy_present(self, tmp_path):
         self._run_with_telemetry(tmp_path)
@@ -298,14 +296,8 @@ class TestEndToEnd:
 # ---------------------------------------------------------------------------
 class TestRendering:
     def _loaded(self, tmp_path):
-        tb = TelemetryBus(enabled=True)
-        tb.add_sink(JsonlSink(tmp_path / "telemetry.jsonl"))
-        previous = install(tb)
-        try:
+        with telemetry_session(JsonlSink(tmp_path / "telemetry.jsonl")):
             run_arcs_online(small_app(), small_setup(cap_w=85.0))
-        finally:
-            install(previous)
-            tb.close()
         return load_telemetry_dir(tmp_path)
 
     def test_decision_timeline_pairs_apply_and_report(self, tmp_path):

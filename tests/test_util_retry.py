@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry.bus import TelemetryBus, install
+from repro.telemetry.bus import telemetry_session
 from repro.util.retry import RetryPolicy
 
 
@@ -148,27 +148,21 @@ class TestRun:
         assert len(slept) == 2  # attempts - 1
 
     def test_emits_retry_telemetry(self):
-        bus_ = TelemetryBus(enabled=True)
         records: list[dict] = []
-        bus_.add_sink(
-            type(
-                "S",
-                (),
-                {
-                    "write": lambda self, r: records.append(r),
-                    "flush": lambda self: None,
-                    "close": lambda self: None,
-                },
-            )()
-        )
-        previous = install(bus_)
-        try:
+        sink = type(
+            "S",
+            (),
+            {
+                "write": lambda self, r: records.append(r),
+                "flush": lambda self: None,
+                "close": lambda self: None,
+            },
+        )()
+        with telemetry_session(sink):
             fn = Flaky(2)
             RetryPolicy(attempts=3).run(
                 fn, retry_on=RuntimeError, site="unit.test"
             )
-        finally:
-            install(previous)
         attempts = [
             r for r in records if r.get("name") == "retry.attempt"
         ]

@@ -46,7 +46,7 @@ from repro.fleet import (
     synthesize_fleet,
 )
 from repro.fleet.events import FAULT_DEGRADATIONS
-from repro.telemetry import JsonlSink, TelemetryBus, install
+from repro.telemetry import JsonlSink, telemetry_session
 from repro.util.log import configure, get_logger
 
 log = get_logger("fleet_chaos")
@@ -163,24 +163,16 @@ def main(argv: list[str] | None = None) -> int:
             journal = FleetJournal(scratch / "reference.jsonl")
             if telemetry is not None:
                 telemetry.mkdir(parents=True, exist_ok=True)
-                parent = TelemetryBus(enabled=True)
-                parent.add_sink(
-                    _FleetOnlySink(telemetry / "fleet_chaos.jsonl")
-                )
-                parent.meta(
+                with telemetry_session(
+                    _FleetOnlySink(telemetry / "fleet_chaos.jsonl"),
                     tool="fleet_chaos",
                     nodes=args.nodes,
                     global_cap_w=plan.global_cap_w,
                     faults=args.faults,
-                )
-                previous = install(parent)
-                try:
+                ):
                     reference = FleetSimulation(
                         plan, faults, journal=journal
                     ).run()
-                finally:
-                    install(previous)
-                    parent.close()
             else:
                 reference = FleetSimulation(
                     plan, faults, journal=journal

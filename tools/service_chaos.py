@@ -39,7 +39,7 @@ from repro.experiments.figures import power_sweep
 from repro.faults.plan import load_fault_plan
 from repro.machine.spec import machine_by_name
 from repro.service.daemon import ThreadedDaemon
-from repro.telemetry import JsonlSink, TelemetryBus, install
+from repro.telemetry import JsonlSink, telemetry_session
 from repro.util.log import configure, get_logger
 from repro.workloads.registry import application_by_name
 
@@ -88,16 +88,13 @@ def _run_sweep(app, spec, caps, args, *, service=None, telemetry=None):
     if telemetry is None:
         return power_sweep(app, spec, caps, **kwargs)
     telemetry.mkdir(parents=True, exist_ok=True)
-    parent = TelemetryBus(enabled=True)
-    parent.add_sink(JsonlSink(telemetry / "service_chaos.jsonl"))
-    parent.meta(
+    with telemetry_session(
+        JsonlSink(telemetry / "service_chaos.jsonl"),
         tool="service_chaos",
         app=app.label,
         machine=spec.name,
         service=service or "",
-    )
-    previous = install(parent)
-    try:
+    ):
         return power_sweep(
             app,
             spec,
@@ -105,9 +102,6 @@ def _run_sweep(app, spec, caps, args, *, service=None, telemetry=None):
             telemetry_dir=str(telemetry),
             **kwargs,
         )
-    finally:
-        install(previous)
-        parent.close()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,9 +35,8 @@ from repro.experiments.runner import CRILL_POWER_LEVELS
 from repro.machine.spec import machine_by_name
 from repro.telemetry import (
     JsonlSink,
-    TelemetryBus,
     export_chrome_trace,
-    install,
+    telemetry_session,
 )
 from repro.util.log import configure, get_logger
 from repro.workloads.registry import application_by_name
@@ -60,25 +59,19 @@ def _telemetry_pass(app, spec, caps, args, telemetry_dir: Path):
     ``(sweep, elapsed_s)``.  The parent bus collects harness lifecycle
     events in ``sweep.jsonl``; each cell writes its own
     ``task-<runid>.jsonl``."""
-    parent = TelemetryBus(enabled=True)
-    parent.add_sink(JsonlSink(telemetry_dir / "sweep.jsonl"))
-    parent.meta(
+    with telemetry_session(
+        JsonlSink(telemetry_dir / "sweep.jsonl"),
         tool="smoke_sweep",
         app=app.label,
         machine=spec.name,
         repeats=args.repeats,
         workers=args.workers,
-    )
-    previous = install(parent)
-    t0 = time.perf_counter()
-    try:
+    ):
+        t0 = time.perf_counter()
         sweep = power_sweep(
             app, spec, caps, repeats=args.repeats,
             workers=args.workers, telemetry_dir=str(telemetry_dir),
         )
-    finally:
-        install(previous)
-        parent.close()
     return sweep, time.perf_counter() - t0
 
 
