@@ -63,8 +63,7 @@ def fig3_claims(comparison) -> None:
 
 
 def fig4_claims(sweep) -> None:
-    for cap in sweep.caps:
-        label = sweep.cap_label(cap)
+    for label in sweep.labels:
         offline = sweep.cells[(label, "arcs-offline")]
         online = sweep.cells[(label, "arcs-online")]
         # "all the strategies in all five power levels outperform the
@@ -74,8 +73,8 @@ def fig4_claims(sweep) -> None:
         assert offline.energy_norm is not None
         assert offline.energy_norm < 0.90
     best_time_gain = 1.0 - min(
-        sweep.cells[(sweep.cap_label(c), "arcs-offline")].time_norm
-        for c in sweep.caps
+        sweep.cells[(label, "arcs-offline")].time_norm
+        for label in sweep.labels
     )
     assert best_time_gain > 0.20
 
@@ -97,8 +96,7 @@ def fig6_claims(comparison) -> None:
 
 
 def fig7_claims(sweep) -> None:
-    for cap in sweep.caps:
-        label = sweep.cap_label(cap)
+    for label in sweep.labels:
         offline = sweep.cells[(label, "arcs-offline")]
         online = sweep.cells[(label, "arcs-online")]
         # paper: improvements are small at every level (<= ~3%), and
@@ -108,8 +106,7 @@ def fig7_claims(sweep) -> None:
 
 
 def fig8_crill_claims(crill_sweep) -> None:
-    for cap in crill_sweep.caps:
-        label = crill_sweep.cap_label(cap)
+    for label in crill_sweep.labels:
         online = crill_sweep.cells[(label, "arcs-online")]
         offline = crill_sweep.cells[(label, "arcs-offline")]
         # Crill: Online degrades at every power level (Section V-C);

@@ -25,6 +25,7 @@ import time
 
 from repro.experiments.cache import ExperimentCache, result_to_json
 from repro.experiments.figures import power_sweep
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import CRILL_POWER_LEVELS
 from repro.machine.spec import crill
 from repro.workloads.sp import sp_application
@@ -58,7 +59,9 @@ def _run_comparison(cache_root) -> dict:
     t0 = time.perf_counter()
     parallel = power_sweep(
         app, spec, CRILL_POWER_LEVELS, repeats=REPEATS,
-        workers=WORKERS, cache=cold_cache,
+        executor=ParallelSweepExecutor(
+            max_workers=WORKERS, cache=cold_cache
+        ),
     )
     t_parallel = time.perf_counter() - t0
 
@@ -66,7 +69,9 @@ def _run_comparison(cache_root) -> dict:
     t0 = time.perf_counter()
     warm = power_sweep(
         app, spec, CRILL_POWER_LEVELS, repeats=REPEATS,
-        workers=WORKERS, cache=warm_cache,
+        executor=ParallelSweepExecutor(
+            max_workers=WORKERS, cache=warm_cache
+        ),
     )
     t_warm = time.perf_counter() - t0
 

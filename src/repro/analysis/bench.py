@@ -138,8 +138,7 @@ def sweep_metrics(
     power level - deterministic under the repro seed, so the compare
     tolerance only needs to absorb intentional model changes."""
     metrics: dict = {}
-    for cap in sweep.caps:
-        label = sweep.cap_label(cap)
+    for label in sweep.labels:
         for strategy in strategies:
             cell = sweep.cells.get((label, strategy))
             if cell is None:

@@ -33,6 +33,7 @@ from repro.experiments.figures import (
     Fig1Row,
     Fig9Row,
     PowerSweep,
+    SWEEP_STRATEGIES,
 )
 from repro.experiments.runner import StrategyRunResult
 from repro.experiments.tables import Table1Row, Table2Row
@@ -130,15 +131,13 @@ def result_record(result: StrategyRunResult) -> Record:
 
 def sweep_records(
     sweep: PowerSweep,
-    strategy_order: Sequence[str] = ("default", "arcs-online",
-                                    "arcs-offline"),
+    strategy_order: Sequence[str] = SWEEP_STRATEGIES,
 ) -> list[Record]:
     """One row per (power level, strategy) cell of a power sweep, in
     the paper's presentation order (the order ``render_sweep`` prints
     and the figures plot)."""
     rows: list[Record] = []
-    for cap in sweep.caps:
-        label = sweep.cap_label(cap)
+    for label in sweep.labels:
         for strategy in strategy_order:
             cell = sweep.cells.get((label, strategy))
             if cell is None:

@@ -49,6 +49,7 @@ from repro.experiments.figures import (
     fig10_lulesh_features,
     power_sweep,
 )
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.reporting import (
     render_bench_trend,
     render_capsched_timeline,
@@ -148,8 +149,9 @@ def _sweep_spec(
             machine_by_name(machine),
             caps,
             repeats=options.repeats,
-            workers=options.workers,
-            cache=options.cache,
+            executor=ParallelSweepExecutor(
+                max_workers=options.workers, cache=options.cache
+            ),
         )
 
     return FigureSpec(

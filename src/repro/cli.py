@@ -43,6 +43,7 @@ from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.reporting import render_sweep
 from repro.experiments.runner import (
     CRILL_POWER_LEVELS,
+    STRATEGIES,
     ExperimentSetup,
     run_strategy,
 )
@@ -73,7 +74,6 @@ from repro.util.log import configure as configure_logging
 from repro.util.tables import format_table
 from repro.workloads.registry import application_by_name
 
-_STRATEGIES = ("default", "arcs-online", "arcs-offline", "surrogate")
 _APPS = ("sp", "bt", "lulesh", "synthetic")
 
 
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--machine", default="crill")
     run.add_argument("--cap", type=float, default=None,
                      help="package power cap in watts (default: TDP)")
-    run.add_argument("--strategy", choices=_STRATEGIES,
+    run.add_argument("--strategy", choices=STRATEGIES,
                      default="arcs-offline")
     run.add_argument("--repeats", type=int, default=3)
     run.add_argument("--seed", type=int, default=0)
@@ -496,7 +496,7 @@ def _cmd_list() -> str:
         ("applications", ", ".join(_APPS)),
         ("workloads", "sp/bt: B, C; lulesh: 45, 60"),
         ("machines", "crill (Sandy Bridge), minotaur (POWER8)"),
-        ("strategies", ", ".join(_STRATEGIES)),
+        ("strategies", ", ".join(STRATEGIES)),
         ("power levels (crill)",
          ", ".join(f"{c:g}W" for c in CRILL_POWER_LEVELS)),
     ]
@@ -712,9 +712,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     def _run_sweep():
         return power_sweep(
             app, spec, caps, repeats=args.repeats, seed=args.seed,
-            workers=args.workers, cache=cache, executor=executor,
-            fault_plan=fault_plan, telemetry_dir=args.telemetry,
-            service=args.service,
+            executor=executor, fault_plan=fault_plan,
+            telemetry_dir=args.telemetry, service=args.service,
         )
 
     try:

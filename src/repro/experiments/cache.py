@@ -23,20 +23,18 @@ and never a crash; the next ``put`` overwrites it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.runner import ExperimentSetup, StrategyRunResult
 from repro.experiments.serialize import (
-    app_fingerprint,
+    context_digest,
     overhead_from_json as _overhead_from_json,
     overhead_to_json as _overhead_to_json,
     run_from_json as _run_from_json,
     run_to_json as _run_to_json,
+    tuning_context,
 )
-from repro.faults.plan import plan_fingerprint
 from repro.openmp.types import OMPConfig
 from repro.util.jsonlog import JsonLog
 from repro.workloads.base import Application
@@ -56,77 +54,26 @@ DEFAULT_CACHE_DIR = Path("results") / ".cache"
 # ---------------------------------------------------------------------------
 # digesting
 # ---------------------------------------------------------------------------
-def _fault_fingerprint(setup: ExperimentSetup) -> str | None:
-    """Fingerprint of the setup's fault plan, or ``None`` for clean
-    setups.  Returning ``None`` (and omitting the key entirely) keeps
-    every pre-existing clean-run digest byte-identical."""
-    return plan_fingerprint(setup.fault_plan)
-
-
-def _capsched_fingerprint(setup: ExperimentSetup) -> str | None:
-    """Fingerprint of the setup's cap schedule, or ``None`` when the
-    cap is static - omitted from digests so pre-existing static-cap
-    digests stay byte-identical."""
-    schedule = setup.cap_schedule
-    if schedule is None or not schedule:
-        return None
-    return schedule.fingerprint()
-
-
 def experiment_digest(
     app: Application, setup: ExperimentSetup, strategy: str
 ) -> str:
     """Deterministic hex digest identifying one sweep cell.
 
-    Keys every input that influences the measurement: application
-    (name, workload, content fingerprint), machine, power cap,
-    strategy, repeats, seed, noise level and the online search budget.
+    The tuning context (:func:`~repro.experiments.serialize.
+    tuning_context`) plus the measurement-only inputs: strategy,
+    repeats, the online search budget and any cap schedule (omitted
+    when the cap is static, so static-cap digests are the ones written
+    before cap schedules existed).
     """
     key = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "app": app.name,
-        "workload": app.workload,
-        "fingerprint": app_fingerprint(app),
-        "machine": setup.spec.name,
-        "cap_w": setup.cap_w,
+        **tuning_context(app, setup),
         "strategy": strategy,
         "repeats": setup.repeats,
-        "seed": setup.seed,
-        "noise_sigma": setup.noise_sigma,
         "online_max_evals": setup.online_max_evals,
     }
-    faults = _fault_fingerprint(setup)
-    if faults is not None:
-        key["faults"] = faults
-    capsched = _capsched_fingerprint(setup)
-    if capsched is not None:
-        key["capsched"] = capsched
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def tuning_digest(app: Application, setup: ExperimentSetup) -> str:
-    """Digest for the shared tuned history of one (app, machine, cap).
-
-    Strategy, repeats and the online budget are deliberately excluded:
-    every offline cell of the same experiment context replays the same
-    exhaustive tuning result.
-    """
-    key = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "app": app.name,
-        "workload": app.workload,
-        "fingerprint": app_fingerprint(app),
-        "machine": setup.spec.name,
-        "cap_w": setup.cap_w,
-        "seed": setup.seed,
-        "noise_sigma": setup.noise_sigma,
-    }
-    faults = _fault_fingerprint(setup)
-    if faults is not None:
-        key["faults"] = faults
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    if setup.cap_schedule:
+        key["capsched"] = setup.cap_schedule.fingerprint()
+    return context_digest(CACHE_SCHEMA_VERSION, key)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +170,13 @@ class ExperimentCache:
         self, app: Application, setup: ExperimentSetup
     ) -> Path:
         """Where the shared tuned history for this (app, machine, cap)
-        lives; offline cells replay it instead of re-tuning."""
-        return self.root / "history" / f"{tuning_digest(app, setup)}.jsonl"
+        lives; offline cells replay it instead of re-tuning.  Keyed by
+        the tuning context alone: strategy, repeats and the online
+        budget do not change what exhaustive tuning finds."""
+        digest = context_digest(
+            CACHE_SCHEMA_VERSION, tuning_context(app, setup)
+        )
+        return self.root / "history" / f"{digest}.jsonl"
 
     # -- read / write --------------------------------------------------
     def get(

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from repro.core.config import search_space_for
 from repro.core.history import HistoryStore
-from repro.experiments.cache import ExperimentCache
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.faults.plan import FaultPlan
 from repro.experiments.runner import (
     CRILL_POWER_LEVELS,
+    STRATEGIES,
     ExperimentSetup,
     StrategyRunResult,
     run_arcs_offline,
@@ -224,19 +224,15 @@ class PowerSweep:
 
     app_label: str
     machine: str
-    caps: tuple[float, ...]
-    cells: dict[tuple[str, str], SweepCell]   # (cap label, strategy)
+    #: power-level labels in sweep order: ``"<cap>W"``, or ``"TDP"``
+    #: for a cap at or above the machine's TDP.
+    labels: tuple[str, ...]
+    cells: dict[tuple[str, str], SweepCell]   # (label, strategy)
     results: dict[tuple[str, str], StrategyRunResult]
-
-    def cap_label(self, cap: float) -> str:
-        spec_tdp = {"crill": 115.0, "minotaur": 190.0}.get(self.machine)
-        if spec_tdp is not None and cap >= spec_tdp:
-            return "TDP"
-        return f"{cap:g}W"
 
 
 #: the strategies every sweep compares, in table order.
-SWEEP_STRATEGIES = ("default", "arcs-online", "arcs-offline")
+SWEEP_STRATEGIES = STRATEGIES[:3]
 
 
 def power_sweep(
@@ -246,9 +242,6 @@ def power_sweep(
     repeats: int = 3,
     seed: int = 0,
     *,
-    workers: int = 1,
-    cache: ExperimentCache | None = None,
-    timeout_s: float | None = None,
     executor: ParallelSweepExecutor | None = None,
     fault_plan: FaultPlan | None = None,
     telemetry_dir: str | None = None,
@@ -257,11 +250,13 @@ def power_sweep(
     """Run default / ARCS-Online / ARCS-Offline at each power level.
 
     Each (cap, strategy) cell is an independent :class:`SweepTask`;
-    ``workers`` fans them out over a process pool and ``cache``
-    memoizes completed cells (and the exhaustive tuning history of the
-    offline cells) on disk.  The defaults - one worker, no cache -
-    reproduce the original strictly-serial in-process behaviour
-    bit-for-bit.  ``telemetry_dir`` makes every cell write its own
+    the three cells of one power level share its
+    :class:`ExperimentSetup`.  ``executor`` runs them - the default is
+    strictly serial and in-process; pass a
+    :class:`ParallelSweepExecutor` with ``max_workers`` to fan cells
+    out over a process pool, or with a ``cache`` to memoize completed
+    cells (and the exhaustive tuning history of the offline cells) on
+    disk.  ``telemetry_dir`` makes every cell write its own
     ``task-<run_id>.jsonl`` trace there (telemetry never changes what
     is measured, only what is recorded).  ``service`` points offline
     cells at a ``repro serve`` daemon (``host:port``): tuned configs
@@ -270,68 +265,59 @@ def power_sweep(
     what is measured.
     """
     if executor is None:
-        executor = ParallelSweepExecutor(
-            max_workers=workers, cache=cache, timeout_s=timeout_s
-        )
-    else:
-        cache = executor.cache
+        executor = ParallelSweepExecutor()
+    cache = executor.cache
 
     tasks: list[SweepTask] = []
     labels: list[str] = []
     for cap in caps:
         cap_arg = None if cap >= spec.tdp_w else cap
-        label = "TDP" if cap_arg is None else f"{cap:g}W"
-        for strategy in SWEEP_STRATEGIES:
-            history_path = None
-            if cache is not None and strategy == "arcs-offline":
-                setup = ExperimentSetup(
-                    spec=spec,
-                    cap_w=cap_arg,
-                    repeats=repeats,
-                    seed=seed,
-                    fault_plan=fault_plan,
-                )
-                history_path = str(cache.history_path(app, setup))
-            tasks.append(
-                SweepTask(
-                    app=app,
-                    spec=spec,
-                    strategy=strategy,
-                    cap_w=cap_arg,
-                    repeats=repeats,
-                    seed=seed,
-                    history_path=history_path,
-                    fault_plan=fault_plan,
-                    telemetry_dir=telemetry_dir,
-                    service=service,
-                )
+        labels.append("TDP" if cap_arg is None else f"{cap:g}W")
+        setup = ExperimentSetup(
+            spec=spec,
+            cap_w=cap_arg,
+            repeats=repeats,
+            seed=seed,
+            fault_plan=fault_plan,
+        )
+        history_path = (
+            None if cache is None else str(cache.history_path(app, setup))
+        )
+        tasks.extend(
+            SweepTask(
+                app=app,
+                setup=setup,
+                strategy=strategy,
+                history_path=(
+                    history_path if strategy == "arcs-offline" else None
+                ),
+                telemetry_dir=telemetry_dir,
+                service=service,
             )
-            labels.append(label)
+            for strategy in SWEEP_STRATEGIES
+        )
 
-    run_results = executor.run(tasks)
+    run_results = iter(executor.run(tasks))
 
     cells: dict[tuple[str, str], SweepCell] = {}
     results: dict[tuple[str, str], StrategyRunResult] = {}
-    bases: dict[str, StrategyRunResult] = {
-        label: res
-        for label, res in zip(labels, run_results)
-        if res.strategy == "default"
-    }
-    for label, res in zip(labels, run_results):
-        base = bases[label]
-        results[(label, res.strategy)] = res
-        cells[(label, res.strategy)] = SweepCell(
-            time_norm=res.time_s / base.time_s,
-            energy_norm=(
-                None
-                if base.energy_j is None or res.energy_j is None
-                else res.energy_j / base.energy_j
-            ),
-        )
+    for label in labels:
+        level = [next(run_results) for _ in SWEEP_STRATEGIES]
+        base = level[0]  # SWEEP_STRATEGIES starts with "default"
+        for res in level:
+            results[(label, res.strategy)] = res
+            cells[(label, res.strategy)] = SweepCell(
+                time_norm=res.time_s / base.time_s,
+                energy_norm=(
+                    None
+                    if base.energy_j is None or res.energy_j is None
+                    else res.energy_j / base.energy_j
+                ),
+            )
     return PowerSweep(
         app_label=app.label,
         machine=spec.name,
-        caps=caps,
+        labels=tuple(labels),
         cells=cells,
         results=results,
     )

@@ -45,16 +45,11 @@ from repro.experiments.runner import (
     run_strategy,
 )
 from repro.faults.inject import FaultInjector
-from repro.faults.plan import DEFAULT_HANG_S, FaultPlan, plan_fingerprint
-from repro.machine.spec import MachineSpec
+from repro.faults.plan import DEFAULT_HANG_S, plan_fingerprint
 from repro.obs.trace import TraceContext, child_context, root_context
 from repro.telemetry.bus import bus, telemetry_session
 from repro.telemetry.sinks import JsonlSink
 from repro.workloads.base import Application
-
-#: strategy aliases that replay a shared tuned history when one is
-#: attached to the task.
-_OFFLINE_STRATEGIES = ("arcs-offline", "offline")
 
 #: exception types that signal a *deterministic* failure: the same
 #: task spec will fail the same way on every attempt, so retrying
@@ -115,51 +110,35 @@ class SweepTask:
     needs to reproduce the measurement, picklable as a unit."""
 
     app: Application
-    spec: MachineSpec
+    #: the measurement context; with ``app`` and ``strategy`` it is
+    #: everything the cache, journal and run-id digests read.
+    setup: ExperimentSetup
     strategy: str
-    cap_w: float | None = None
-    repeats: int = 3
-    seed: int = 0
-    noise_sigma: float = 0.01
-    online_max_evals: int = 40
     #: path of the shared tuned history (offline cells only); ``None``
     #: keeps the old behaviour of an in-memory throwaway store.
     history_path: str | None = None
-    #: deterministic fault plan threaded into the cell's runtimes
-    #: (``None`` = clean).
-    fault_plan: FaultPlan | None = None
     #: directory receiving this cell's telemetry JSONL (``None`` =
-    #: telemetry off).  Deliberately *not* part of :meth:`setup`, so
+    #: telemetry off).  Deliberately *not* part of ``setup``, so
     #: turning tracing on never invalidates cache/journal digests.
     telemetry_dir: str | None = None
     #: ``host:port`` of a tuning-service daemon consulted (and
     #: published to) by offline cells through the ConfigSource chain.
-    #: Like ``telemetry_dir``, deliberately *not* part of
-    #: :meth:`setup`: the service is a transparent knowledge cache, so
-    #: pointing a sweep at one must never invalidate existing
-    #: cache/journal digests (results are byte-identical either way).
+    #: Like ``telemetry_dir``, deliberately *not* part of ``setup``:
+    #: the service is a transparent knowledge cache, so pointing a
+    #: sweep at one must never invalidate existing cache/journal
+    #: digests (results are byte-identical either way).
     service: str | None = None
     #: traceparent handed off by the parent sweep's trace context; the
     #: worker adopts it as the root of everything the cell emits, so
     #: per-cell trace files stitch into the sweep's single tree.
     #: Observational only - like ``telemetry_dir``, never part of
-    #: :meth:`setup` or any digest.
+    #: ``setup`` or any digest.
     trace: str | None = None
-
-    def setup(self) -> ExperimentSetup:
-        return ExperimentSetup(
-            spec=self.spec,
-            cap_w=self.cap_w,
-            repeats=self.repeats,
-            seed=self.seed,
-            noise_sigma=self.noise_sigma,
-            online_max_evals=self.online_max_evals,
-            fault_plan=self.fault_plan,
-        )
 
     @property
     def label(self) -> str:
-        cap = "TDP" if self.cap_w is None else f"{self.cap_w:g}W"
+        cap_w = self.setup.cap_w
+        cap = "TDP" if cap_w is None else f"{cap_w:g}W"
         return f"{self.app.label}@{cap}/{self.strategy}"
 
     def run_id(self) -> str:
@@ -170,7 +149,7 @@ class SweepTask:
 
 
 def task_run_id(task: SweepTask) -> str:
-    return experiment_digest(task.app, task.setup(), task.strategy)[:12]
+    return experiment_digest(task.app, task.setup, task.strategy)[:12]
 
 
 def run_sweep_task(task: SweepTask) -> StrategyRunResult:
@@ -188,15 +167,15 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
 
     With a ``service`` address, offline cells consult the tuning
     daemon through a degradation-ordered :func:`~repro.service.source.
-    default_chain` (service -> process memo -> local history) before
-    tuning fresh, and publish what they tune.  The chain's client
-    draws the ``service.*`` fault sites from the task's fault plan
-    (salted separately from the runtime's injector), so network
+    default_chain` (service -> process memo) after the shared history
+    and before tuning fresh, and publish what they tune.  The chain's
+    client draws the ``service.*`` fault sites from the task's fault
+    plan (salted separately from the runtime's injector), so network
     failure modes are deterministic per cell.
     """
     history = None
     source = None
-    if task.strategy.lower() in _OFFLINE_STRATEGIES:
+    if task.strategy == "arcs-offline":
         if task.history_path is not None:
             history = HistoryStore(task.history_path)
         if task.service is not None:
@@ -206,7 +185,7 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
             source = default_chain(
                 task.service,
                 faults=make_injector(
-                    task.fault_plan, salt="service-client"
+                    task.setup.fault_plan, salt="service-client"
                 ),
             )
     if task.telemetry_dir is None:
@@ -229,15 +208,15 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
             run_id=run_id,
             task=task.label,
             strategy=task.strategy,
-            machine=task.spec.name,
-            cap_w=task.cap_w,
-            seed=task.seed,
+            machine=task.setup.spec.name,
+            cap_w=task.setup.cap_w,
+            seed=task.setup.seed,
         )
     with session:
         return run_strategy(
             task.strategy,
             task.app,
-            task.setup(),
+            task.setup,
             history=history,
             source=source,
         )
@@ -456,7 +435,7 @@ class ParallelSweepExecutor:
     # ------------------------------------------------------------------
     @staticmethod
     def _digest(task: SweepTask) -> str:
-        return experiment_digest(task.app, task.setup(), task.strategy)
+        return experiment_digest(task.app, task.setup, task.strategy)
 
     @classmethod
     def _header(cls, tasks: Sequence[SweepTask]) -> dict:
@@ -470,26 +449,27 @@ class ParallelSweepExecutor:
             {
                 fp
                 for fp in (
-                    plan_fingerprint(task.fault_plan) for task in tasks
+                    plan_fingerprint(task.setup.fault_plan)
+                    for task in tasks
                 )
                 if fp is not None
             }
         )
         return {
             "sweep": sweep,
-            "seeds": sorted({task.seed for task in tasks}),
+            "seeds": sorted({task.setup.seed for task in tasks}),
             "faults": fault_prints,
         }
 
     def _cache_get(self, task: SweepTask) -> StrategyRunResult | None:
         if self.cache is None:
             return None
-        return self.cache.get(task.app, task.setup(), task.strategy)
+        return self.cache.get(task.app, task.setup, task.strategy)
 
     def _record(self, task: SweepTask, result: StrategyRunResult) -> None:
         """Persist one completed cell everywhere it is memoized."""
         if self.cache is not None:
-            self.cache.put(task.app, task.setup(), task.strategy, result)
+            self.cache.put(task.app, task.setup, task.strategy, result)
         if self.journal is not None:
             self.journal.append(
                 self._digest(task),

@@ -28,8 +28,6 @@ from repro.experiments.figures import (
 from repro.experiments.tables import Table1Row, Table2Row
 from repro.util.tables import format_table
 
-STRATEGY_ORDER = ("default", "arcs-online", "arcs-offline")
-
 
 def render_fig1(rows: list[Fig1Row], title: str) -> str:
     table_rows = []
@@ -81,7 +79,7 @@ def render_sweep(sweep: PowerSweep, title: str) -> str:
             if r["energy_norm"] is None
             else f"{r['energy_norm']:.3f}",
         )
-        for r in sweep_records(sweep, STRATEGY_ORDER)
+        for r in sweep_records(sweep)
     ]
     return format_table(
         ("power", "strategy", "time (norm)", "pkg energy (norm)"),

@@ -25,7 +25,7 @@ from repro.core.checkpoint import (
     restore_controller,
 )
 from repro.core.controller import ARCS
-from repro.core.history import HistoryStore, experiment_key
+from repro.core.history import HistoryStore
 from repro.core.overhead import OverheadReport
 from repro.experiments.resumable import (
     RunCheckpoint,
@@ -62,6 +62,10 @@ from repro.workloads.base import (
 
 if TYPE_CHECKING:  # runner <-> surrogate would cycle at import time
     from repro.surrogate.plan import SurrogateTuning
+
+#: the strategy names :func:`run_strategy` dispatches, in table order;
+#: the first three are the paper's comparison.
+STRATEGIES = ("default", "arcs-online", "arcs-offline", "surrogate")
 
 #: tuning-search modes of the ARCS-Offline tuning run.  All three
 #: produce a history entry replayed by identical measured runs, so the
@@ -579,10 +583,8 @@ def run_arcs_offline(
             "thresholds); see repro.surrogate.plan"
         )
     history = history if history is not None else HistoryStore()
-    key = experiment_key(
-        app.name, setup.spec.name, setup.cap_w, app.workload
-    )
-    source_key = config_key(app, setup) if source is not None else None
+    source_key = config_key(app, setup)
+    key = source_key.experiment
     if source is not None and not history.has(key):
         entry = source.lookup(source_key)
         if entry is not None:
@@ -713,14 +715,13 @@ def run_strategy(
     ignore it, so a sweep can pass one chain uniformly.  ``surrogate``
     likewise only affects ``"surrogate"``.
     """
-    key = name.lower()
     with traced_span(
         "run.strategy",
-        strategy=key,
+        strategy=name,
         app=app.label,
         machine=setup.spec.name,
     ):
-        if key in ("arcs-online", "online"):
+        if name == "arcs-online":
             return run_arcs_online(
                 app,
                 setup,
@@ -728,27 +729,23 @@ def run_strategy(
                 resume_from=resume_from,
                 supervise=supervise,
             )
+        if name not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {name!r}; known: "
+                f"{', '.join(STRATEGIES)}"
+            )
         if checkpoint_path is not None or resume_from is not None:
             raise ValueError(
                 f"checkpointing is only supported for arcs-online, not "
                 f"{name!r}"
             )
-        if key == "default":
+        if name == "default":
             return run_default(app, setup)
-        if key in ("arcs-offline", "offline"):
-            return run_arcs_offline(
-                app, setup, history=history, source=source
-            )
-        if key == "surrogate":
-            return run_arcs_offline(
-                app,
-                setup,
-                history=history,
-                source=source,
-                tuner="surrogate",
-                surrogate=surrogate,
-            )
-        raise ValueError(
-            f"unknown strategy {name!r}; known: default, arcs-online, "
-            "arcs-offline, surrogate"
+        return run_arcs_offline(
+            app,
+            setup,
+            history=history,
+            source=source,
+            tuner="surrogate" if name == "surrogate" else "exhaustive",
+            surrogate=surrogate,
         )

@@ -1,4 +1,5 @@
-"""JSON codecs for the leaf measurement records.
+"""JSON codecs for the leaf measurement records, and the fields that
+key a measurement.
 
 These round-trip :class:`~repro.openmp.records.RegionTotals`,
 :class:`~repro.workloads.base.AppRunResult` and
@@ -10,16 +11,24 @@ byte-identical-resume guarantee in this repo leans on).
 They used to live inside :mod:`repro.experiments.cache`; they are a
 leaf module now so that the run-checkpoint layer (which the runner
 imports) can share them without creating an import cycle through the
-cache (which imports the runner).
+cache (which imports the runner).  :func:`tuning_context` is here for
+the same reason: the result cache, the shared tuned history and the
+service knowledge key all read it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from typing import TYPE_CHECKING
 
 from repro.core.overhead import OverheadReport
+from repro.faults.plan import plan_fingerprint
 from repro.openmp.records import RegionTotals
 from repro.workloads.base import Application, AppRunResult
+
+if TYPE_CHECKING:  # the runner imports this module
+    from repro.experiments.runner import ExperimentSetup
 
 
 def app_fingerprint(app: Application) -> str:
@@ -30,6 +39,37 @@ def app_fingerprint(app: Application) -> str:
     in timesteps or region characterization never collide.
     """
     return hashlib.sha256(repr(app).encode()).hexdigest()[:16]
+
+
+def tuning_context(app: Application, setup: "ExperimentSetup") -> dict:
+    """The fields that key one tuning context: application (name,
+    workload, content fingerprint), machine, power cap, seed, noise
+    level and fault plan.  Every offline cell of one context replays
+    the same tuned history; measurement keys add their own fields on
+    top.  A clean setup omits ``faults``, so clean digests are the ones
+    written before fault plans existed."""
+    context = {
+        "app": app.name,
+        "workload": app.workload,
+        "fingerprint": app_fingerprint(app),
+        "machine": setup.spec.name,
+        "cap_w": setup.cap_w,
+        "seed": setup.seed,
+        "noise_sigma": setup.noise_sigma,
+    }
+    faults = plan_fingerprint(setup.fault_plan)
+    if faults is not None:
+        context["faults"] = faults
+    return context
+
+
+def context_digest(schema: int, fields: dict) -> str:
+    """Hex sha256 of ``fields`` stamped with ``schema``, over canonical
+    JSON, so each store can bump its own schema independently."""
+    blob = json.dumps(
+        {"schema": schema, **fields}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def totals_to_json(totals: RegionTotals) -> dict:

@@ -130,10 +130,19 @@ class ExecutionEngine:
         OMPT events - subsequent :meth:`execute` calls hit the cache
         and behave byte-identically to the scalar path.  Returns the
         number of freshly computed records (cached/memoized candidates
-        and configs the machine cannot run cost nothing).
+        and configs the machine cannot run cost nothing).  Telemetry
+        records the request, never that number: how much the
+        process-wide memo already holds depends on what ran earlier in
+        the process, and a cell's trace must not.
         """
         if not configs:
             return 0
+        tb = bus()
+        if tb.enabled:
+            tb.count("batch.prefetches")
+            tb.emit(
+                "batch.prefetch", region=region.name, configs=len(configs)
+            )
         spec = self.node.spec
         caps = self._caps()
         todo: list[tuple[OMPConfig, tuple, tuple]] = []
@@ -167,16 +176,6 @@ class ExecutionEngine:
         for (config, key, mkey), record in zip(todo, records):
             self._record_cache[key] = record
             _batch.memo_put(mkey, record)
-        tb = bus()
-        if tb.enabled:
-            tb.count("batch.prefetches")
-            tb.count("batch.prefetched_configs", len(todo))
-            tb.emit(
-                "batch.prefetch",
-                region=region.name,
-                configs=len(configs),
-                computed=len(todo),
-            )
         return len(todo)
 
     # ------------------------------------------------------------------

@@ -15,8 +15,8 @@ long-lived, multi-tenant service:
 * :mod:`repro.service.client` - the blocking client with per-request
   deadlines, seeded backoff retries and a circuit breaker;
 * :mod:`repro.service.source` - the :class:`ConfigSource` degradation
-  chain (remote service -> warm memo -> local history -> fresh tuning)
-  that the controller and experiment runner consume.
+  chain (remote service -> warm memo -> surrogate cold start) that the
+  controller and experiment runner consult after their local history.
 """
 
 from repro.service.client import (
@@ -32,7 +32,6 @@ from repro.service.source import (
     ChainedConfigSource,
     ConfigKey,
     ConfigSource,
-    HistorySource,
     MemoSource,
     ServiceSource,
     config_key,
@@ -50,7 +49,6 @@ __all__ = [
     "ConfigKey",
     "ConfigServiceDaemon",
     "ConfigSource",
-    "HistorySource",
     "MemoSource",
     "ServiceClient",
     "ServiceError",

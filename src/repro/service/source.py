@@ -1,15 +1,16 @@
 """``ConfigSource``: the degradation-ordered tuned-config chain.
 
 ARCS-Offline needs tuned per-region configurations before its measured
-runs.  Historically they came from exactly one place (a local
-:class:`~repro.core.history.HistoryStore`, tuned fresh if absent).
-This module makes the provenance explicit and *ordered by degradation*:
+runs.  The runner reads its local :class:`~repro.core.history.
+HistoryStore` first; only when that misses does it ask this chain,
+whose tiers are *ordered by degradation*:
 
 1. :class:`ServiceSource` - the shared ``repro serve`` daemon (other
    tenants' tuning, survives every process);
 2. :class:`MemoSource`   - a process-wide warm memo (free once any
    strategy in this process tuned the context);
-3. :class:`HistorySource` - the local on-disk history file;
+3. an optional surrogate cold-start tier (model predictions, never
+   promoted upward);
 4. fresh tuning - not a source: it is what the runner does when the
    whole chain misses.
 
@@ -21,26 +22,24 @@ answer.  Hits are promoted back up into the tiers that missed, so a
 recovered daemon is re-warmed by its clients.
 
 Keys are :class:`ConfigKey` pairs: the human-readable experiment key
-(local history files) plus a content-addressed digest over the full
-measurement context - app fingerprint, machine, cap, seed, noise,
-fault plan - so multi-tenant sharing can never collide two different
-experiments that happen to share a label.
+(local history files) plus a content-addressed digest over the tuning
+context (:func:`~repro.experiments.serialize.tuning_context`: app
+fingerprint, machine, cap, seed, noise, fault plan), so multi-tenant
+sharing can never collide two different experiments that happen to
+share a label.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.history import (
-    HistoryStore,
+    experiment_key,
     region_from_json,
     region_to_json,
 )
-from repro.faults.plan import plan_fingerprint
 from repro.openmp.types import OMPConfig
 from repro.obs.trace import traced_span
 from repro.service.client import (
@@ -77,36 +76,20 @@ class ConfigKey:
 def config_key(app: "Application", setup: "ExperimentSetup") -> ConfigKey:
     """Key for the tuned knowledge of one (app, machine, cap) context.
 
-    Mirrors :func:`repro.experiments.cache.tuning_digest` (strategy
-    and repeats excluded - every offline cell of a context shares one
-    exhaustive tuning result) but is derived independently so the
-    service payload schema can evolve without invalidating the local
-    result cache.
+    One field list, two schema stamps: the digest covers the same
+    tuning context as the result cache's shared-history key, stamped
+    with :data:`KNOWLEDGE_SCHEMA_VERSION` so the service payload schema
+    can evolve without invalidating the local result cache.
     """
-    from repro.core.history import experiment_key
-    from repro.experiments.serialize import app_fingerprint
+    from repro.experiments.serialize import context_digest, tuning_context
 
-    blob: dict = {
-        "schema": KNOWLEDGE_SCHEMA_VERSION,
-        "app": app.name,
-        "workload": app.workload,
-        "fingerprint": app_fingerprint(app),
-        "machine": setup.spec.name,
-        "cap_w": setup.cap_w,
-        "seed": setup.seed,
-        "noise_sigma": setup.noise_sigma,
-    }
-    faults = plan_fingerprint(setup.fault_plan)
-    if faults is not None:
-        blob["faults"] = faults
-    digest = hashlib.sha256(
-        json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
     return ConfigKey(
         experiment=experiment_key(
             app.name, setup.spec.name, setup.cap_w, app.workload
         ),
-        digest=digest,
+        digest=context_digest(
+            KNOWLEDGE_SCHEMA_VERSION, tuning_context(app, setup)
+        ),
     )
 
 
@@ -181,32 +164,6 @@ class ConfigSource(ABC):
         note = f"config source {self.name}: {text}"
         if note not in self.notes:
             self.notes.append(note)
-
-
-class HistorySource(ConfigSource):
-    """The local ARCS history file as a chain tier."""
-
-    name = "history"
-
-    def __init__(self, store: HistoryStore) -> None:
-        super().__init__()
-        self.store = store
-
-    def lookup(self, key: ConfigKey) -> Entry | None:
-        if not self.store.has(key.experiment):
-            return None
-        return (
-            self.store.load(key.experiment),
-            self.store.load_values(key.experiment),
-        )
-
-    def publish(self, key: ConfigKey, entry: Entry) -> None:
-        configs, values = entry
-        self.store.save(
-            key.experiment,
-            configs,
-            {r: v for r, v in values.items() if v is not None},
-        )
 
 
 #: the process-wide memo tier's backing map (digest -> payload).
@@ -371,16 +328,14 @@ class ChainedConfigSource(ConfigSource):
 def default_chain(
     service: str | tuple[str, int] | None = None,
     *,
-    history: HistoryStore | None = None,
     faults=None,
     deadline_s: float | None = None,
-    retry=None,
     memo: dict[str, dict] | None = None,
     breaker: CircuitBreaker | None = None,
     surrogate: ConfigSource | None = None,
 ) -> ChainedConfigSource:
-    """The standard degradation order: service -> memo -> history ->
-    surrogate cold start.
+    """The standard degradation order: service -> memo -> surrogate
+    cold start.
 
     Every part is optional; the chain always contains the memo tier,
     so even a bare chain shares tuning within the process.
@@ -389,7 +344,7 @@ def default_chain(
     when every measured-knowledge tier missed, and they are never
     promoted upward.
     """
-    from repro.service.client import DEFAULT_DEADLINE_S, DEFAULT_RETRY
+    from repro.service.client import DEFAULT_DEADLINE_S
 
     sources: list[ConfigSource] = []
     if service is not None:
@@ -398,13 +353,10 @@ def default_chain(
             deadline_s=(
                 DEFAULT_DEADLINE_S if deadline_s is None else deadline_s
             ),
-            retry=DEFAULT_RETRY if retry is None else retry,
             faults=faults,
         )
         sources.append(ServiceSource(client, breaker=breaker))
     sources.append(MemoSource(memo=memo))
-    if history is not None:
-        sources.append(HistorySource(history))
     if surrogate is not None:
         sources.append(surrogate)
     return ChainedConfigSource(sources)

@@ -77,7 +77,7 @@ class TestPayload:
 class TestMetricBuilders:
     def test_sweep_metrics(self):
         sweep = PowerSweep(
-            app_label="sp.B", machine="crill", caps=(115.0,),
+            app_label="sp.B", machine="crill", labels=("TDP",),
             cells={
                 ("TDP", "default"): SweepCell(1.0, 1.0),
                 ("TDP", "arcs-online"): SweepCell(0.8, None),

@@ -97,7 +97,7 @@ class TestConverters:
         sweep = PowerSweep(
             app_label="sp.B",
             machine="crill",
-            caps=(115.0, 55.0),
+            labels=("TDP", "55W"),
             cells={
                 ("TDP", "default"): SweepCell(1.0, 1.0),
                 ("TDP", "arcs-offline"): SweepCell(0.7, 0.65),

@@ -6,28 +6,33 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.history import HistoryStore
+from repro.core.capschedule import load_cap_schedule
 from repro.experiments.cache import (
     CacheEntryLog,
     ExperimentCache,
-    app_fingerprint,
     experiment_digest,
     result_from_json,
     result_to_json,
-    tuning_digest,
 )
+from repro.experiments.parallel import SweepTask, task_run_id
 from repro.experiments.runner import (
     ExperimentSetup,
     run_arcs_offline,
     run_default,
 )
+from repro.experiments.serialize import app_fingerprint
+from repro.faults.plan import load_fault_plan
 from repro.machine.spec import crill
+from repro.service.source import config_key
 from repro.openmp.types import OMPConfig
 from repro.util.jsonlog import encode
+from repro.workloads.sp import sp_application
 from repro.workloads.synthetic import synthetic_application
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -138,7 +143,9 @@ class TestDigest:
         digests.add(experiment_digest(app, setup, "arcs-offline"))
         assert len(digests) == 1
 
-    def test_tuning_digest_shared_across_strategy_knobs(self, app):
+    def test_tuning_digest_shared_across_strategy_knobs(
+        self, app, tmp_path
+    ):
         """The tuned history is keyed by (app, machine, cap, seed,
         noise) only - repeats and online budget do not re-tune."""
         a = ExperimentSetup(spec=crill(), cap_w=85.0, repeats=2)
@@ -146,8 +153,44 @@ class TestDigest:
             spec=crill(), cap_w=85.0, repeats=3, online_max_evals=10
         )
         c = ExperimentSetup(spec=crill(), cap_w=70.0, repeats=2)
-        assert tuning_digest(app, a) == tuning_digest(app, b)
-        assert tuning_digest(app, a) != tuning_digest(app, c)
+        cache = ExperimentCache(tmp_path)
+        assert cache.history_path(app, a) == cache.history_path(app, b)
+        assert cache.history_path(app, a) != cache.history_path(app, c)
+
+    def test_digests_are_pinned(self, tmp_path):
+        """Every key derived from the measurement context keeps the
+        value it had when each store listed the context fields itself:
+        a changed digest orphans every cache entry, tuned history,
+        journal and service entry written before it."""
+        examples = REPO_SRC.parent / "examples"
+        app = sp_application("B")
+        plan = load_fault_plan(examples / "faultplan.json")
+        setup = ExperimentSetup(
+            spec=crill(), cap_w=85.0, repeats=1, fault_plan=plan,
+            cap_schedule=load_cap_schedule(examples / "capschedule.json"),
+        )
+        assert experiment_digest(app, setup, "arcs-offline") == (
+            "d0b57b9aac4e9a5fe9abdf3dd9a4e36060ffb943cad1eed788caeb6c911cc341"
+        )
+        history = (
+            "a26d182cd36001cf4ad72ead922164c4f8fc0714513f778e6c94c40391908ba5"
+        )
+        assert ExperimentCache(tmp_path).history_path(app, setup).stem == (
+            history
+        )
+        assert config_key(app, setup).digest == history
+        static = replace(setup, cap_schedule=None)
+        run_ids = {
+            strategy: task_run_id(
+                SweepTask(app=app, setup=static, strategy=strategy)
+            )
+            for strategy in ("default", "arcs-online", "arcs-offline")
+        }
+        assert run_ids == {
+            "default": "acf9661d5fb5",
+            "arcs-online": "5927a61a0a43",
+            "arcs-offline": "dab8cf63fe95",
+        }
 
 
 class TestSerialization:

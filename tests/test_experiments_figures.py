@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.bench import sweep_metrics
+from repro.analysis.records import sweep_records
 from repro.core.history import HistoryStore
 from repro.experiments.figures import (
     FEATURES,
@@ -13,6 +17,7 @@ from repro.experiments.figures import (
     fig9_lulesh_regions,
     power_sweep,
 )
+from repro.experiments.reporting import render_sweep
 from repro.experiments.runner import ExperimentSetup
 from repro.experiments.tables import (
     table1_search_space,
@@ -80,6 +85,23 @@ class TestPowerSweep:
         app = synthetic_application(timesteps=4, include_tiny=False)
         sweep = power_sweep(app, crill(), (115.0,), repeats=1)
         assert ("TDP", "default") in sweep.cells
+
+    def test_tdp_row_on_any_machine(self):
+        # the TDP level is labelled from the spec's TDP, not from a
+        # table of known machine names
+        app = synthetic_application(timesteps=4, include_tiny=False)
+        spec = dataclasses.replace(crill(), name="crill-b")
+        sweep = power_sweep(app, spec, (85.0, spec.tdp_w), repeats=1)
+        rows = sweep_records(sweep)
+        assert [(r["power"], r["strategy"]) for r in rows] == [
+            (power, strategy)
+            for power in ("85W", "TDP")
+            for strategy in ("default", "arcs-online", "arcs-offline")
+        ]
+        assert set(sweep_metrics(sweep)) >= {
+            "time_norm[TDP/arcs-online]", "time_norm[TDP/arcs-offline]",
+        }
+        assert "TDP" in render_sweep(sweep, "t").splitlines()[-1]
 
 
 class TestFig9:

@@ -119,7 +119,7 @@ class TestRendering:
         sweep = PowerSweep(
             app_label="sp.B",
             machine="crill",
-            caps=(55.0,),
+            labels=("55W",),
             cells={
                 ("55W", "default"): SweepCell(1.0, 1.0),
                 ("55W", "arcs-offline"): SweepCell(0.7, 0.65),
@@ -130,12 +130,14 @@ class TestRendering:
         assert "0.700" in out and "0.650" in out
 
     def test_sweep_tdp_label(self):
+        # the row is labelled by the sweep itself, whatever the
+        # machine is called
         sweep = PowerSweep(
-            app_label="x", machine="crill", caps=(115.0,), cells={},
+            app_label="x", machine="crill-b", labels=("TDP",),
+            cells={("TDP", "default"): SweepCell(1.0, None)},
             results={},
         )
-        assert sweep.cap_label(115.0) == "TDP"
-        assert sweep.cap_label(55.0) == "55W"
+        assert "TDP" in render_sweep(sweep, "Fig 4").splitlines()[-1]
 
     def test_fig9(self):
         rows = [Fig9Row("EvalEOSForElems_", 1920, 1.5, 0.6, 0.8)]
@@ -201,7 +203,7 @@ class TestRenderingGoldens:
         sweep = PowerSweep(
             app_label="sp.B",
             machine="crill",
-            caps=(115.0, 55.0),
+            labels=("TDP", "55W"),
             cells={
                 ("TDP", "default"): SweepCell(1.0, 1.0),
                 ("TDP", "arcs-offline"): SweepCell(0.7, 0.65),

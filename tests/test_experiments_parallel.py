@@ -43,13 +43,13 @@ def _app():
     return synthetic_application(timesteps=2, include_tiny=False)
 
 
-def _task(strategy="default", cap_w=85.0, **kwargs) -> SweepTask:
+def _task(strategy="default", cap_w=85.0, seed=0, **kwargs) -> SweepTask:
     return SweepTask(
         app=_app(),
-        spec=crill(),
+        setup=ExperimentSetup(
+            spec=crill(), cap_w=cap_w, repeats=1, seed=seed
+        ),
         strategy=strategy,
-        cap_w=cap_w,
-        repeats=1,
         **kwargs,
     )
 
@@ -128,7 +128,8 @@ class TestExecutorBasics:
         caps = (85.0, 115.0)
         serial = power_sweep(app, crill(), caps, repeats=1, seed=3)
         parallel = power_sweep(
-            app, crill(), caps, repeats=1, seed=3, workers=2
+            app, crill(), caps, repeats=1, seed=3,
+            executor=ParallelSweepExecutor(max_workers=2),
         )
         assert _encode_sweep(parallel) == _encode_sweep(serial)
 
@@ -160,14 +161,16 @@ class TestCacheIntegration:
         cache = ExperimentCache(tmp_path / "cache")
         app = _app()
         first = power_sweep(
-            app, crill(), (85.0,), repeats=1, cache=cache
+            app, crill(), (85.0,), repeats=1,
+            executor=ParallelSweepExecutor(cache=cache),
         )
         assert first.results[("85W", "arcs-offline")].tuning_runs >= 1
 
         for path in cache.root.glob("*.jsonl"):   # results only
             path.unlink()
         rerun = power_sweep(
-            app, crill(), (85.0,), repeats=1, cache=cache
+            app, crill(), (85.0,), repeats=1,
+            executor=ParallelSweepExecutor(cache=cache),
         )
         offline = rerun.results[("85W", "arcs-offline")]
         assert offline.tuning_runs == 0

@@ -132,3 +132,12 @@ class TestRunStrategy:
     def test_unknown_strategy(self, app, setup):
         with pytest.raises(ValueError):
             run_strategy("magic", app, setup)
+
+    @pytest.mark.parametrize(
+        "name", ["ARCS-Offline", "Default", "offline", "online"]
+    )
+    def test_one_spelling_per_strategy(self, name, app, setup):
+        # the cache and journal digest the raw name, so a second
+        # spelling of one strategy would key one measurement twice
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_strategy(name, app, setup)

@@ -250,14 +250,17 @@ class TestWholeFileDamage:
 def _tasks(n: int) -> list[SweepTask]:
     app = synthetic_application(timesteps=1, include_tiny=False)
     return [
-        SweepTask(app=app, spec=crill(), strategy="default",
-                  cap_w=50.0 + i, repeats=1)
+        SweepTask(
+            app=app,
+            setup=ExperimentSetup(spec=crill(), cap_w=50.0 + i, repeats=1),
+            strategy="default",
+        )
         for i in range(n)
     ]
 
 
 def _fake_cell(task: SweepTask) -> StrategyRunResult:
-    return cell(int(task.cap_w))
+    return cell(int(task.setup.cap_w))
 
 
 class TestJournalRegressions:
@@ -271,7 +274,7 @@ class TestJournalRegressions:
         reran = []
 
         def counting(task):
-            reran.append(task.cap_w)
+            reran.append(task.setup.cap_w)
             return _fake_cell(task)
 
         results = ParallelSweepExecutor(

@@ -14,6 +14,7 @@ from repro.experiments.parallel import (
     SweepTask,
     task_run_id,
 )
+from repro.experiments.runner import ExperimentSetup
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.machine.spec import crill
 from repro.obs.trace import (
@@ -294,8 +295,9 @@ class TestFleetBoundary:
 class TestSweepWorkerBoundary:
     def _task(self, telemetry, trace=None):
         return SweepTask(
-            app=small_app(), spec=crill(), cap_w=None,
-            strategy="default", repeats=1, seed=0,
+            app=small_app(),
+            setup=ExperimentSetup(spec=crill(), repeats=1),
+            strategy="default",
             telemetry_dir=str(telemetry), trace=trace,
         )
 
@@ -368,8 +370,9 @@ class TestCrossProcessSweep:
         telemetry = tmp_path / "tel"
         tasks = [
             SweepTask(
-                app=small_app(), spec=crill(), cap_w=None,
-                strategy=strategy, repeats=1, seed=0,
+                app=small_app(),
+                setup=ExperimentSetup(spec=crill(), repeats=1),
+                strategy=strategy,
                 telemetry_dir=str(telemetry),
             )
             for strategy in ("default", "arcs-online")

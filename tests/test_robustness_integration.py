@@ -187,11 +187,10 @@ def _tasks(plan: FaultPlan | None = None) -> list[SweepTask]:
     return [
         SweepTask(
             app=_app(),
-            spec=crill(),
+            setup=ExperimentSetup(
+                spec=crill(), cap_w=85.0, repeats=1, fault_plan=plan
+            ),
             strategy=strategy,
-            cap_w=85.0,
-            repeats=1,
-            fault_plan=plan,
         )
         for strategy in ("default", "arcs-online")
     ]

@@ -38,7 +38,6 @@ from repro.service.daemon import ThreadedDaemon
 from repro.service.source import (
     ChainedConfigSource,
     ConfigKey,
-    HistorySource,
     MemoSource,
     ServiceSource,
     config_key,
@@ -507,14 +506,6 @@ class TestChain:
         assert len(memo.memo) == 2
         assert "d0" not in memo.memo
 
-    def test_history_tier_round_trip(self, tmp_path):
-        key, entry = make_entry()
-        tier = HistorySource(HistoryStore(tmp_path / "h.json"))
-        assert tier.lookup(key) is None
-        tier.publish(key, entry)
-        got = tier.lookup(key)
-        assert got is not None and got[0] == entry[0]
-
     def test_service_tier_round_trip(self, daemon):
         key, entry = make_entry()
         tier = ServiceSource(ServiceClient(daemon.address))
@@ -578,17 +569,9 @@ class TestChain:
         chain = ChainedConfigSource([MemoSource(memo={})])
         assert chain.lookup(key) is None
 
-    def test_default_chain_tiers(self, tmp_path, daemon):
-        chain = default_chain(
-            addr_str(daemon),
-            history=HistoryStore(tmp_path / "h.json"),
-            memo={},
-        )
-        assert [s.name for s in chain.sources] == [
-            "service",
-            "memo",
-            "history",
-        ]
+    def test_default_chain_tiers(self, daemon):
+        chain = default_chain(addr_str(daemon), memo={})
+        assert [s.name for s in chain.sources] == ["service", "memo"]
 
 
 # ---------------------------------------------------------------------------
@@ -723,23 +706,16 @@ class TestRunnerIntegration:
 class TestSweepTaskIntegration:
     def test_sweep_task_uses_service(self, tmp_path):
         with ThreadedDaemon(tmp_path / "store") as td:
+            setup = ExperimentSetup(
+                spec=crill(), cap_w=85.0, repeats=2, seed=3
+            )
             task = SweepTask(
                 app=APP,
-                spec=crill(),
+                setup=setup,
                 strategy="arcs-offline",
-                cap_w=85.0,
-                repeats=2,
-                seed=3,
                 service=addr_str(td),
             )
-            plain = SweepTask(
-                app=APP,
-                spec=crill(),
-                strategy="arcs-offline",
-                cap_w=85.0,
-                repeats=2,
-                seed=3,
-            )
+            plain = SweepTask(app=APP, setup=setup, strategy="arcs-offline")
             baseline = run_sweep_task(plain)
             first = run_sweep_task(task)
             assert json.dumps(result_to_json(first)) == json.dumps(
@@ -749,14 +725,12 @@ class TestSweepTaskIntegration:
             assert probe.stats()["stats"]["puts"] >= 1
 
     def test_service_field_not_in_digest(self):
-        a = SweepTask(
-            app=APP, spec=crill(), strategy="arcs-offline", cap_w=85.0
-        )
+        setup = ExperimentSetup(spec=crill(), cap_w=85.0)
+        a = SweepTask(app=APP, setup=setup, strategy="arcs-offline")
         b = SweepTask(
             app=APP,
-            spec=crill(),
+            setup=setup,
             strategy="arcs-offline",
-            cap_w=85.0,
             service="127.0.0.1:1",
         )
         assert a.run_id() == b.run_id()

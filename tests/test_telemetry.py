@@ -4,6 +4,7 @@ recorder, sinks, trace export, CLI surfaces and determinism."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +15,12 @@ from repro.experiments.parallel import (
     ParallelSweepExecutor,
     SweepTask,
     SweepTaskError,
+    run_sweep_task,
     task_run_id,
 )
 from repro.experiments.runner import ExperimentSetup, run_arcs_online
 from repro.machine.spec import crill
+from repro.openmp import batch
 from repro.obs.trace import root_context, traced_span
 from repro.supervise import RunAbortedError
 from repro.telemetry import (
@@ -208,8 +211,9 @@ class TestFlightRecorder:
 
     def test_sweep_task_error_carries_flight_dump(self):
         task = SweepTask(
-            app=small_app(), spec=crill(), cap_w=None,
-            strategy="default", repeats=1, seed=0,
+            app=small_app(),
+            setup=ExperimentSetup(spec=crill(), repeats=1),
+            strategy="default",
         )
         with telemetry_session() as tb:
             tb.emit("sweep.task_retry", task="t", attempt=1)
@@ -404,8 +408,9 @@ class TestJournalRunIds:
         journal_path = tmp_path / "sweep.journal"
         telemetry = tmp_path / "tel"
         task = SweepTask(
-            app=small_app(), spec=crill(), cap_w=None,
-            strategy="default", repeats=1, seed=0,
+            app=small_app(),
+            setup=ExperimentSetup(spec=crill(), repeats=1),
+            strategy="default",
             telemetry_dir=str(telemetry),
         )
         executor = ParallelSweepExecutor(
@@ -429,15 +434,36 @@ class TestJournalRunIds:
 
     def test_telemetry_dir_does_not_change_digest(self):
         plain = SweepTask(
-            app=small_app(), spec=crill(), cap_w=None,
-            strategy="default", repeats=1, seed=0,
+            app=small_app(),
+            setup=ExperimentSetup(spec=crill(), repeats=1),
+            strategy="default",
         )
         traced = SweepTask(
-            app=small_app(), spec=crill(), cap_w=None,
-            strategy="default", repeats=1, seed=0,
+            app=small_app(),
+            setup=ExperimentSetup(spec=crill(), repeats=1),
+            strategy="default",
             telemetry_dir="/anywhere",
         )
         assert task_run_id(plain) == task_run_id(traced)
+
+    def test_cell_telemetry_does_not_depend_on_the_memo(self, tmp_path):
+        """The batched-evaluation memo is process-wide, so a cell run
+        second in a process finds its records already computed; its
+        JSONL must still match a cold run's byte for byte."""
+        task = SweepTask(
+            app=small_app(),
+            setup=ExperimentSetup(spec=crill(), cap_w=85.0, repeats=1),
+            strategy="arcs-offline",
+        )
+        name = f"task-{task_run_id(task)}.jsonl"
+        batch.clear_memo()
+        logs = []
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            run_sweep_task(replace(task, telemetry_dir=str(out)))
+            logs.append((out / name).read_bytes())
+        assert b'"batch.prefetch"' in logs[0]
+        assert logs[1] == logs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.experiments.cache import ExperimentCache, result_to_json
 from repro.experiments.figures import power_sweep
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import CRILL_POWER_LEVELS
 from repro.machine.spec import machine_by_name
 from repro.telemetry import (
@@ -70,7 +71,8 @@ def _telemetry_pass(app, spec, caps, args, telemetry_dir: Path):
         t0 = time.perf_counter()
         sweep = power_sweep(
             app, spec, caps, repeats=args.repeats,
-            workers=args.workers, telemetry_dir=str(telemetry_dir),
+            executor=ParallelSweepExecutor(max_workers=args.workers),
+            telemetry_dir=str(telemetry_dir),
         )
     return sweep, time.perf_counter() - t0
 
@@ -121,7 +123,9 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         cold = power_sweep(
             app, spec, caps, repeats=args.repeats,
-            workers=args.workers, cache=cold_cache,
+            executor=ParallelSweepExecutor(
+                max_workers=args.workers, cache=cold_cache
+            ),
         )
         t_cold = time.perf_counter() - t0
 
@@ -129,7 +133,9 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         warm = power_sweep(
             app, spec, caps, repeats=args.repeats,
-            workers=args.workers, cache=warm_cache,
+            executor=ParallelSweepExecutor(
+                max_workers=args.workers, cache=warm_cache
+            ),
         )
         t_warm = time.perf_counter() - t0
 
