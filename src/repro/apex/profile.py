@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -16,12 +15,6 @@ class TimerStats:
     min_s: float = float("inf")
     max_s: float = 0.0
     last_s: float = 0.0
-
-    def min_s_json(self) -> float | None:
-        """``min_s`` as a strict-JSON value: ``None`` when the timer
-        never fired, instead of the in-memory ``inf`` sentinel (which
-        ``json.dumps`` writes as the invalid literal ``Infinity``)."""
-        return None if not math.isfinite(self.min_s) else self.min_s
 
     def observe(self, elapsed_s: float) -> None:
         if elapsed_s < 0:

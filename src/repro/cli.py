@@ -34,13 +34,13 @@ from repro.core.capschedule import (
     CapScheduleError,
     load_cap_schedule,
 )
-from repro.core.checkpoint import CheckpointError
 from repro.core.history import HistoryStore
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.experiments.figures import power_sweep
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.reporting import render_sweep
+from repro.experiments.resumable import CheckpointError
 from repro.experiments.runner import (
     CRILL_POWER_LEVELS,
     STRATEGIES,
@@ -121,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dynamic power-cap schedule (see examples/"
                           "capschedule.json); changes the cap mid-run")
     run.add_argument("--checkpoint", default=None, metavar="PATH",
-                     help="write a resumable checkpoint after every "
-                          "region measurement (arcs-online only)")
+                     help="write a resumable checkpoint before the "
+                          "first repeat and after every completed "
+                          "repeat; a resume re-runs the interrupted "
+                          "repeat (arcs-online only)")
     run.add_argument("--resume-from", default=None, metavar="PATH",
                      help="resume an interrupted arcs-online run from "
                           "a checkpoint written by --checkpoint")

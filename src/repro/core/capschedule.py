@@ -270,17 +270,3 @@ class CapScheduleApplier:
                 cap_from=cap_label(before),
                 cap_to=cap_label(target.cap_w),
             )
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "applied_idx": self._applied_idx,
-            "last_change_n": self._last_change_n,
-            "log": list(self.log),
-        }
-
-    def restore(self, blob: dict) -> None:
-        self._applied_idx = int(blob["applied_idx"])
-        last = blob["last_change_n"]
-        self._last_change_n = None if last is None else int(last)
-        self.log = [str(entry) for entry in blob["log"]]

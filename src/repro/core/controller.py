@@ -40,7 +40,6 @@ class ARCS:
         history: HistoryStore | None = None,
         history_key: str | None = None,
         replay: bool = False,
-        strict_replay: bool = True,
         selective_threshold_s: float | None = None,
         cap_aware: bool = False,
         objective: str = "time",
@@ -58,27 +57,6 @@ class ARCS:
                 raise ValueError(
                     "replay mode needs a history store and key"
                 )
-            if (
-                source is not None
-                and source_key is not None
-                and not history.has(history_key)
-            ):
-                # replay with an empty local history: ask the chain
-                # (remote service -> warm memo) before giving up.  A
-                # chain miss or failure degrades to the usual
-                # HistoryKeyMissing from history.load below.
-                entry = source.lookup(source_key)
-                if entry is not None:
-                    configs_, values_ = entry
-                    history.save(
-                        history_key,
-                        configs_,
-                        {
-                            r: v
-                            for r, v in values_.items()
-                            if v is not None
-                        },
-                    )
             replay_configs: dict[str, OMPConfig] | None = history.load(
                 history_key
             )
@@ -96,7 +74,6 @@ class ARCS:
             space=space,
             max_evals=max_evals,
             replay=replay_configs,
-            strict_replay=strict_replay,
             selective_threshold_s=selective_threshold_s,
             cap_aware=cap_aware,
             objective=objective,

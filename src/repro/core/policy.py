@@ -66,8 +66,7 @@ class MissingRegionConfigError(KeyError):
 
     A replayed run silently executing unknown regions with whatever
     configuration happens to be current defeats the point of
-    ARCS-Offline's measured run; by default the policy now fails
-    loudly instead (opt out with ``strict_replay=False``)."""
+    ARCS-Offline's measured run, so the policy fails loudly instead."""
 
     def __init__(self, region: str, known: tuple[str, ...]) -> None:
         self.region = region
@@ -95,15 +94,12 @@ class RegionTuningState:
     #: set, the region runs the default configuration from then on.
     degraded: str | None = None
     #: the resolved start point the session was created with (the warm
-    #: start, or the policy default).  Recorded so a checkpoint restore
-    #: can rebuild the session identically without re-running the
-    #: warm-start lookup against a different regions dict.
+    #: start, or the policy default).
     session_start: tuple[int, ...] | None = None
     #: restart count at the last batched-prefetch hint; -1 = never
     #: hinted.  Re-hinting happens once per strategy instance (session
     #: start and each divergence restart), when the strategy's preview
-    #: is worth a vectorized prefetch.  Not checkpointed - a restored
-    #: region simply re-hints on its next execution.
+    #: is worth a vectorized prefetch.
     hinted_restarts: int = -1
 
 
@@ -119,7 +115,6 @@ class ArcsPolicy(Policy):
         space: SearchSpace | None = None,
         max_evals: int = 40,
         replay: dict[str, OMPConfig] | None = None,
-        strict_replay: bool = True,
         selective_threshold_s: float | None = None,
         cap_aware: bool = False,
         objective: str = "time",
@@ -145,7 +140,6 @@ class ArcsPolicy(Policy):
         self.space = space or search_space_for(runtime.node.spec)
         self.max_evals = max_evals
         self.replay = dict(replay) if replay is not None else None
-        self.strict_replay = strict_replay
         self.selective_threshold_s = selective_threshold_s
         #: Section II: "the resource manager may ... adjust [nodes']
         #: power level dynamically.  To get the best per node
@@ -201,11 +195,9 @@ class ArcsPolicy(Policy):
         if self.replay is not None:
             config = self.replay.get(context.timer_name)
             if config is None:
-                if self.strict_replay:
-                    raise MissingRegionConfigError(
-                        context.timer_name, tuple(sorted(self.replay))
-                    )
-                return
+                raise MissingRegionConfigError(
+                    context.timer_name, tuple(sorted(self.replay))
+                )
             self._apply(state, config, context.timer_name, "replay")
             return
 

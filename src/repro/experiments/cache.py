@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.experiments.runner import ExperimentSetup, StrategyRunResult
 from repro.experiments.serialize import (
     context_digest,
+    measurement_context,
     overhead_from_json as _overhead_from_json,
     overhead_to_json as _overhead_to_json,
     run_from_json as _run_from_json,
@@ -57,23 +58,12 @@ DEFAULT_CACHE_DIR = Path("results") / ".cache"
 def experiment_digest(
     app: Application, setup: ExperimentSetup, strategy: str
 ) -> str:
-    """Deterministic hex digest identifying one sweep cell.
-
-    The tuning context (:func:`~repro.experiments.serialize.
-    tuning_context`) plus the measurement-only inputs: strategy,
-    repeats, the online search budget and any cap schedule (omitted
-    when the cap is static, so static-cap digests are the ones written
-    before cap schedules existed).
-    """
-    key = {
-        **tuning_context(app, setup),
-        "strategy": strategy,
-        "repeats": setup.repeats,
-        "online_max_evals": setup.online_max_evals,
-    }
-    if setup.cap_schedule:
-        key["capsched"] = setup.cap_schedule.fingerprint()
-    return context_digest(CACHE_SCHEMA_VERSION, key)
+    """Deterministic hex digest identifying one sweep cell: the
+    :func:`~repro.experiments.serialize.measurement_context` digested
+    under :data:`CACHE_SCHEMA_VERSION`."""
+    return context_digest(
+        CACHE_SCHEMA_VERSION, measurement_context(app, setup, strategy)
+    )
 
 
 # ---------------------------------------------------------------------------

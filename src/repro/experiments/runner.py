@@ -20,10 +20,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.capschedule import CapSchedule, CapScheduleApplier
-from repro.core.checkpoint import (
-    controller_checkpoint,
-    restore_controller,
-)
 from repro.core.controller import ARCS
 from repro.core.history import HistoryStore
 from repro.core.overhead import OverheadReport
@@ -34,14 +30,14 @@ from repro.experiments.resumable import (
     write_run_checkpoint,
 )
 from repro.experiments.serialize import (
-    app_fingerprint,
+    measurement_context,
     overhead_from_json,
     overhead_to_json,
     run_from_json,
     run_to_json,
 )
 from repro.faults.inject import make_injector
-from repro.faults.plan import FaultPlan, plan_fingerprint
+from repro.faults.plan import FaultPlan
 from repro.machine.node import SimulatedNode
 from repro.machine.rapl import CapWriteRejectedError
 from repro.machine.spec import MachineSpec
@@ -53,12 +49,7 @@ from repro.obs.trace import traced_span
 from repro.util.retry import RetryPolicy
 from repro.util.rng import derive_seed
 from repro.util.stats import summarize_runs
-from repro.workloads.base import (
-    Application,
-    AppRunResult,
-    RunProgress,
-    run_application,
-)
+from repro.workloads.base import Application, AppRunResult, run_application
 
 if TYPE_CHECKING:  # runner <-> surrogate would cycle at import time
     from repro.surrogate.plan import SurrogateTuning
@@ -268,9 +259,9 @@ def _capsched_applier(setup: ExperimentSetup) -> CapScheduleApplier | None:
 
 
 def _cap_observer(applier, runtime):
-    """Observer driving a cap-schedule cursor (non-checkpointed runs)."""
-    def observer(progress: RunProgress) -> None:
-        applier.on_invocation(progress.invocations, runtime)
+    """Observer driving a cap-schedule cursor."""
+    def observer(invocations: int) -> None:
+        applier.on_invocation(invocations, runtime)
     return observer
 
 
@@ -309,31 +300,6 @@ def run_default(
     )
 
 
-def _checkpoint_meta(
-    app: Application,
-    setup: ExperimentSetup,
-    strategy: str,
-    selective_threshold_s: float | None,
-) -> dict:
-    """Everything that must match for a checkpoint to be resumable:
-    resuming under a different setup would splice incompatible state."""
-    schedule = setup.cap_schedule
-    return {
-        "strategy": strategy,
-        "app": app.label,
-        "app_fingerprint": app_fingerprint(app),
-        "machine": setup.spec.name,
-        "cap_w": setup.cap_w,
-        "repeats": setup.repeats,
-        "seed": setup.seed,
-        "noise_sigma": setup.noise_sigma,
-        "online_max_evals": setup.online_max_evals,
-        "faults": plan_fingerprint(setup.fault_plan),
-        "capsched": schedule.fingerprint() if schedule else None,
-        "selective_threshold_s": selective_threshold_s,
-    }
-
-
 def run_arcs_online(
     app: Application,
     setup: ExperimentSetup,
@@ -350,16 +316,16 @@ def run_arcs_online(
     mode: regions whose first measured call is shorter than the
     threshold are never tuned (used by the selective-tuning ablation).
 
-    ``checkpoint_path`` persists a resumable checkpoint after every
-    completed region invocation and every repeat boundary;
-    ``resume_from`` restores one (and keeps checkpointing to the same
-    file unless ``checkpoint_path`` overrides it).  A resumed run
-    finishes byte-identical to an uninterrupted run at the same seed.
-    Region execution goes through a :class:`RegionSupervisor`
-    (``supervise`` overrides its deadlines/retry budget); ``kill_after``
-    is a test hook raising :class:`SimulatedKill` once that many region
-    invocations have completed globally, right after the checkpoint
-    write for that invocation.
+    ``checkpoint_path`` persists a resumable checkpoint before the
+    first repeat and after every completed repeat; ``resume_from``
+    restores one (and keeps checkpointing to the same file unless
+    ``checkpoint_path`` overrides it) and re-runs the interrupted
+    repeat from its start.  A resumed run finishes byte-identical to
+    an uninterrupted run at the same seed.  Region execution goes
+    through a :class:`RegionSupervisor` (``supervise`` overrides its
+    deadlines/retry budget); ``kill_after`` is a test hook raising
+    :class:`SimulatedKill` once that many region invocations have
+    completed globally, leaving the last boundary checkpoint on disk.
     """
     if kill_after is not None and checkpoint_path is None:
         raise ValueError(
@@ -373,7 +339,11 @@ def run_arcs_online(
         if selective_threshold_s is None
         else "arcs-online-selective"
     )
-    meta = _checkpoint_meta(app, setup, strategy_label, selective_threshold_s)
+    # everything that must match for a checkpoint to be resumable
+    meta = {
+        **measurement_context(app, setup, strategy_label),
+        "selective_threshold_s": selective_threshold_s,
+    }
     cap_aware = bool(setup.cap_schedule)
 
     results: list[AppRunResult] = []
@@ -384,7 +354,6 @@ def run_arcs_online(
     dropouts = 0
     cap_changes: list[str] = []
     next_run = 0
-    active: dict | None = None
 
     if resume_from is not None:
         blob = load_run_checkpoint(resume_from)
@@ -401,9 +370,10 @@ def run_arcs_online(
         overhead = overhead_from_json(blob["overhead"])
         cap_changes = [str(c) for c in blob["cap_changes"]]
         next_run = int(blob["next_run"])
-        active = blob["active"]
 
-    def _write_checkpoint(boundary_next_run: int, active_blob: dict | None) -> None:
+    def _write_checkpoint(boundary: int) -> None:
+        if checkpoint_path is None:
+            return
         write_run_checkpoint(
             checkpoint_path,
             meta,
@@ -416,11 +386,11 @@ def run_arcs_online(
                 },
                 "overhead": overhead_to_json(overhead),
                 "cap_changes": list(cap_changes),
-                "next_run": boundary_next_run,
-                "active": active_blob,
+                "next_run": boundary,
             },
         )
 
+    _write_checkpoint(next_run)
     for r in range(next_run, setup.repeats):
         runtime = fresh_runtime(setup, run_index=r)
         arcs = ARCS(
@@ -436,67 +406,14 @@ def run_arcs_online(
             runtime, supervise, pin=arcs.policy.pin_region
         )
         applier = _capsched_applier(setup)
-        progress = RunProgress()
-        if active is not None and int(active["run_index"]) == r:
-            # fresh_runtime's side effects (clock advance, fault draws,
-            # cap write) are fully overwritten by the restores below.
-            node = runtime.node
-            node.restore(active["node"])
-            runtime.restore(active["runtime"])
-            if node.faults is not None and active["injector"] is not None:
-                node.faults.restore(active["injector"])
-            restore_controller(arcs, active["controller"])
-            supervisor.restore(active["supervisor"])
-            if applier is not None and active["capsched"] is not None:
-                applier.restore(active["capsched"])
-            progress = RunProgress.from_snapshot(active["progress"])
-        active = None
-
         completed_before = sum(x.total_region_calls for x in results)
 
-        def observer(
-            progress_: RunProgress,
-            *,
-            _r=r,
-            _runtime=runtime,
-            _arcs=arcs,
-            _supervisor=supervisor,
-            _applier=applier,
-            _before=completed_before,
-        ) -> None:
-            if _applier is not None:
-                _applier.on_invocation(progress_.invocations, _runtime)
-            if checkpoint_path is not None:
-                node = _runtime.node
-                _write_checkpoint(
-                    _r,
-                    {
-                        "run_index": _r,
-                        "progress": progress_.snapshot(),
-                        "node": node.snapshot(),
-                        "runtime": _runtime.snapshot(),
-                        "injector": (
-                            None
-                            if node.faults is None
-                            else node.faults.snapshot()
-                        ),
-                        "controller": controller_checkpoint(_arcs),
-                        "supervisor": _supervisor.snapshot(),
-                        "capsched": (
-                            None
-                            if _applier is None
-                            else _applier.snapshot()
-                        ),
-                    },
-                )
-            if (
-                kill_after is not None
-                and _before + progress_.invocations >= kill_after
-            ):
-                raise SimulatedKill(
-                    _before + progress_.invocations,
-                    Path(checkpoint_path),
-                )
+        def observer(invocations: int) -> None:
+            if applier is not None:
+                applier.on_invocation(invocations, runtime)
+            completed = completed_before + invocations
+            if kill_after is not None and completed >= kill_after:
+                raise SimulatedKill(completed, Path(checkpoint_path))
 
         with traced_span(
             "run.repeat", strategy=strategy_label, repeat=r
@@ -507,7 +424,6 @@ def run_arcs_online(
                     runtime,
                     execute=supervisor.execute,
                     observer=observer,
-                    progress=progress,
                 )
             )
         configs = arcs.chosen_configs()
@@ -517,8 +433,7 @@ def run_arcs_online(
         if applier is not None:
             cap_changes = list(applier.log)
         arcs.finalize()
-        if checkpoint_path is not None:
-            _write_checkpoint(r + 1, None)
+        _write_checkpoint(r + 1)
 
     if dropouts:
         bridge_notes.append(

@@ -11,9 +11,10 @@ byte-identical-resume guarantee in this repo leans on).
 They used to live inside :mod:`repro.experiments.cache`; they are a
 leaf module now so that the run-checkpoint layer (which the runner
 imports) can share them without creating an import cycle through the
-cache (which imports the runner).  :func:`tuning_context` is here for
-the same reason: the result cache, the shared tuned history and the
-service knowledge key all read it.
+cache (which imports the runner).  :func:`tuning_context` and
+:func:`measurement_context` are here for the same reason: the result
+cache, the shared tuned history, the service knowledge key and the run
+checkpoint header all read them.
 """
 
 from __future__ import annotations
@@ -60,6 +61,26 @@ def tuning_context(app: Application, setup: "ExperimentSetup") -> dict:
     faults = plan_fingerprint(setup.fault_plan)
     if faults is not None:
         context["faults"] = faults
+    return context
+
+
+def measurement_context(
+    app: Application, setup: "ExperimentSetup", strategy: str
+) -> dict:
+    """The fields that key one measurement: the tuning context plus
+    the measurement-only inputs - strategy, repeats, the online search
+    budget and any cap schedule (omitted when the cap is static, so
+    static-cap keys are the ones written before cap schedules
+    existed).  The result cache digests it; a run checkpoint's header
+    is it."""
+    context = {
+        **tuning_context(app, setup),
+        "strategy": strategy,
+        "repeats": setup.repeats,
+        "online_max_evals": setup.online_max_evals,
+    }
+    if setup.cap_schedule:
+        context["capsched"] = setup.cap_schedule.fingerprint()
     return context
 
 

@@ -42,17 +42,6 @@ class InvalidMeasurementError(ValueError):
         )
 
 
-class SessionReplayError(RuntimeError):
-    """A session snapshot does not replay against a fresh strategy.
-
-    Raised when restoring a checkpoint whose recorded tell sequence
-    diverges from what the (deterministically re-seeded) strategy asks
-    for, or whose recorded best disagrees with the replayed one - both
-    mean the checkpoint was taken under different code or a different
-    seed and resuming would silently produce different results.
-    """
-
-
 @dataclass(frozen=True)
 class MeasurementGuard:
     """Acceptance policy for reported objective values.
@@ -180,11 +169,6 @@ class TuningSession:
         #: survives strategy restarts, which discard the strategy's own
         #: bookkeeping but not the measurements already trusted.
         self._best: tuple[tuple[int, ...], float] | None = None
-        #: replay log for checkpointing: every accepted tell and every
-        #: strategy restart, in order.  Strategies are pure functions of
-        #: their seed and tell sequence, so this log (plus the session's
-        #: own counters) is the whole session state.
-        self._events: list[tuple] = []
 
     @staticmethod
     def _check_space(
@@ -289,7 +273,6 @@ class TuningSession:
         self.search_values.append(value)
         if self._best is None or value < self._best[1]:
             self._best = (self._outstanding, value)
-        self._events.append(("tell", self._outstanding, value))
         bus().count("harmony.tells")
         self.strategy.tell(self._outstanding, value)
         self._outstanding = None
@@ -321,7 +304,6 @@ class TuningSession:
         ):
             self.stats.restarts += 1
             self._consecutive_rejects = 0
-            self._events.append(("restart",))
             strategy = self.strategy_factory()
             self._check_space(self.space, strategy)
             self.strategy = strategy
@@ -343,110 +325,3 @@ class TuningSession:
             region=self.name,
             reason=self.failure_reason,
         )
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-ready session state: the replay log plus the counters
-        replay cannot derive.
-
-        The strategy itself is *not* serialized - it is a deterministic
-        function of its seed and the tell sequence, so :meth:`restore`
-        rebuilds it by replaying the log against a freshly-constructed
-        strategy (floats round-trip exactly through JSON, keeping the
-        rebuilt simplex bit-identical).
-        """
-        return {
-            "events": [list(e[:1]) + [list(e[1]), e[2]]
-                       if e[0] == "tell" else list(e)
-                       for e in self._events],
-            "outstanding": self._outstanding is not None,
-            "best": (
-                None
-                if self._best is None
-                else [list(self._best[0]), self._best[1]]
-            ),
-            "failure_reason": self.failure_reason,
-            "consecutive_rejects": self._consecutive_rejects,
-            "stats": {
-                "suggestions": self.stats.suggestions,
-                "reports": self.stats.reports,
-                "converged_at_report": self.stats.converged_at_report,
-                "rejected": self.stats.rejected,
-                "restarts": self.stats.restarts,
-            },
-        }
-
-    def restore(self, blob: dict) -> None:
-        """Replay a snapshot into this freshly-constructed session.
-
-        The session must be pristine (same space, same seed-derived
-        strategy and factory as when the snapshot was taken).  Raises
-        :class:`SessionReplayError` when the log does not replay
-        cleanly - see that class for what a mismatch means.
-        """
-        for event in blob["events"]:
-            kind = event[0]
-            if kind == "restart":
-                if self.strategy_factory is None:
-                    raise SessionReplayError(
-                        "snapshot contains a strategy restart but this "
-                        "session has no strategy factory"
-                    )
-                self._events.append(("restart",))
-                strategy = self.strategy_factory()
-                self._check_space(self.space, strategy)
-                self.strategy = strategy
-                continue
-            if kind != "tell":
-                raise SessionReplayError(
-                    f"unknown session event kind {kind!r}"
-                )
-            indices = tuple(int(i) for i in event[1])
-            value = float(event[2])
-            asked = self.strategy.ask()
-            if asked is None or self.space.clamp(asked) != indices:
-                raise SessionReplayError(
-                    f"replay diverged: snapshot tells {indices} but the "
-                    f"rebuilt strategy asks "
-                    f"{None if asked is None else self.space.clamp(asked)}"
-                )
-            self.search_values.append(value)
-            if self._best is None or value < self._best[1]:
-                self._best = (indices, value)
-            self._events.append(("tell", indices, value))
-            self.strategy.tell(indices, value)
-        recorded = blob["best"]
-        derived = (
-            None
-            if self._best is None
-            else [list(self._best[0]), self._best[1]]
-        )
-        if derived != recorded:
-            raise SessionReplayError(
-                f"replayed best {derived} does not match the snapshot's "
-                f"recorded best {recorded}"
-            )
-        st = blob["stats"]
-        self.stats = SessionStats(
-            suggestions=int(st["suggestions"]),
-            reports=int(st["reports"]),
-            converged_at_report=(
-                None
-                if st["converged_at_report"] is None
-                else int(st["converged_at_report"])
-            ),
-            rejected=int(st["rejected"]),
-            restarts=int(st["restarts"]),
-        )
-        self._consecutive_rejects = int(blob["consecutive_rejects"])
-        self.failure_reason = blob["failure_reason"]
-        if blob["outstanding"]:
-            asked = self.strategy.ask()
-            if asked is None:
-                raise SessionReplayError(
-                    "snapshot has an outstanding candidate but the "
-                    "rebuilt strategy is converged"
-                )
-            self._outstanding = self.space.clamp(asked)

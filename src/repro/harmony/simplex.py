@@ -6,12 +6,13 @@ point cache short-circuits re-evaluations of already-measured points
 (the discrete lattice makes revisits common near convergence), so a
 cached revisit costs zero region executions.
 
-Replay contract (relied on by session checkpointing): a strategy's
-entire state is a deterministic function of its constructor arguments
-and the sequence of ``tell`` values it has received.  Replaying the
-same tells against a freshly-constructed strategy reproduces the same
-``ask`` sequence bit-for-bit - there is no hidden wall-clock or global
-RNG state.  Subclasses must preserve this.
+Determinism contract (relied on by resume-by-re-execution and every
+byte-identical result): a strategy's entire state is a deterministic
+function of its constructor arguments and the sequence of ``tell``
+values it has received.  The same tells against a freshly-constructed
+strategy reproduce the same ``ask`` sequence bit-for-bit - there is no
+hidden wall-clock or global RNG state.  Subclasses must preserve
+this.
 """
 
 from __future__ import annotations

@@ -78,19 +78,13 @@ class MsrFile:
         return float(1 << esu_bits)
 
     def snapshot(self) -> dict:
-        """JSON-ready register contents (tuple keys flattened to
-        ``[socket, address, value]`` triples)."""
+        """Read-only JSON view of the register contents (tuple keys
+        flattened to ``[socket, address, value]`` triples)."""
         return {
             "regs": [
                 [socket, address, value]
                 for (socket, address), value in sorted(self._regs.items())
             ]
-        }
-
-    def restore(self, blob: dict) -> None:
-        self._regs = {
-            (int(socket), int(address)): int(value)
-            for socket, address, value in blob["regs"]
         }
 
     def bump_counter(

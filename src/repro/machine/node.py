@@ -203,25 +203,6 @@ class SimulatedNode:
             frequencies_ghz=self.frequency_for_team(placement),
         )
 
-    def snapshot(self) -> dict:
-        """JSON-ready mutable node state (clock, DVFS ceiling, MSRs,
-        RAPL accounts).  The models built from the spec are pure and
-        need no state; the fault injector snapshots separately because
-        the harness owns it."""
-        return {
-            "now_s": self._now_s,
-            "frequency_limit_ghz": self.frequency_limit_ghz,
-            "msr": self.msr.snapshot(),
-            "rapl": self.rapl.snapshot(),
-        }
-
-    def restore(self, blob: dict) -> None:
-        self._now_s = float(blob["now_s"])
-        limit = blob["frequency_limit_ghz"]
-        self.frequency_limit_ghz = None if limit is None else float(limit)
-        self.msr.restore(blob["msr"])
-        self.rapl.restore(blob["rapl"])
-
     def reset(self) -> None:
         """Fresh clock, counters and caps (a 'reboot' between runs).
         The fault injector, if any, stays armed - rebooting does not

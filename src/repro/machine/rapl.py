@@ -123,12 +123,9 @@ class Rapl:
             for domain in RaplDomain
             for socket in range(self.spec.sockets)
         }
-        self._index_accounts()
-
-    def _index_accounts(self) -> None:
-        """Per-domain ``{socket: account}`` views of ``_energy`` for the
-        deposit path, which runs several times per region invocation:
-        picking a domain by identity avoids hashing the enum."""
+        # per-domain {socket: account} views of _energy for the deposit
+        # path, which runs several times per region invocation: picking
+        # a domain by identity avoids hashing the enum.
         self._package_accounts = {
             socket: account
             for (domain, socket), account in self._energy.items()
@@ -326,12 +323,13 @@ class Rapl:
         return self._read_energy_j(RaplDomain.DRAM, socket)
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # inspection
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-ready mutable state (cap states, energy accounts, last
-        successful reads).  The MSR registers themselves are owned - and
-        snapshotted - by :class:`~repro.machine.msr.MsrFile`."""
+        """Read-only JSON view of the mutable state (cap states, energy
+        accounts, last successful reads), for tests that pin it.  The
+        MSR registers themselves are owned - and viewed - by
+        :class:`~repro.machine.msr.MsrFile`."""
         return {
             "caps": [
                 [c.cap_w, c.pending_cap_w, c.cap_applies_at_s]
@@ -353,24 +351,6 @@ class Rapl:
                 )
             ],
         }
-
-    def restore(self, blob: dict) -> None:
-        self._caps = [
-            _CapState(cap_w, pending, float(applies_at))
-            for cap_w, pending, applies_at in blob["caps"]
-        ]
-        self._energy = {
-            (RaplDomain(domain), int(socket)): _EnergyAccount(
-                float(pending_j), float(last_update_s), int(wraps)
-            )
-            for domain, socket, pending_j, last_update_s, wraps
-            in blob["energy"]
-        }
-        self._last_read_j = {
-            (RaplDomain(domain), int(socket)): float(value)
-            for domain, socket, value in blob["last_read"]
-        }
-        self._index_accounts()
 
     def force_update(self, now_s: float) -> None:
         """Flush pending energy into the counters (used at run teardown,

@@ -79,8 +79,7 @@ class OpenMPRuntime:
         self.degradations: list[str] = []
         #: per-region batched-prefetch hints (candidate configs a tuner
         #: expects to try soon); consumed by the next ``parallel_for``
-        #: on that region.  Pure performance state - deliberately not
-        #: checkpointed; tuners re-hint after a resume.
+        #: on that region.  Pure performance state.
         self._probe_hints: dict[str, tuple[OMPConfig, ...]] = {}
 
     @property
@@ -166,36 +165,6 @@ class OpenMPRuntime:
         byte-identical with or without hints."""
         if configs:
             self._probe_hints[region_name] = tuple(configs)
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-ready mutable runtime state.  The noise stream is keyed
-        by ``_call_index``, so restoring it (plus the node clock) makes
-        every subsequent measurement byte-identical to the
-        uninterrupted run.  The engine's record cache is pure
-        memoization and is rebuilt on demand."""
-        return {
-            "num_threads": self._config.n_threads,
-            "schedule": [self._config.schedule.value, self._config.chunk],
-            "call_index": self._call_index,
-            "config_change_time_s": self.config_change_time_s,
-            "config_change_calls": self.config_change_calls,
-            "degradations": list(self.degradations),
-        }
-
-    def restore(self, blob: dict) -> None:
-        kind, chunk = blob["schedule"]
-        self._config = OMPConfig(
-            int(blob["num_threads"]),
-            ScheduleKind(kind),
-            None if chunk is None else int(chunk),
-        )
-        self._call_index = int(blob["call_index"])
-        self.config_change_time_s = float(blob["config_change_time_s"])
-        self.config_change_calls = int(blob["config_change_calls"])
-        self.degradations = [str(note) for note in blob["degradations"]]
 
     # ------------------------------------------------------------------
     # region execution

@@ -16,8 +16,8 @@ measurement fails or stalls:
    ``AppRunResult.degraded`` channel so it surfaces in CLI output;
 3. **abort** - a region that *still* fails after being pinned aborts
    the run with :class:`RunAbortedError`.  The last run checkpoint
-   (written after the previous completed invocation) remains valid,
-   so the operator can resume after fixing the environment.
+   (written at the previous repeat boundary) remains valid, so the
+   operator can resume after fixing the environment.
 
 With no fault injector and no deadline the supervisor is a pass-through:
 it adds zero simulated time and zero RNG draws, so supervised clean
@@ -190,18 +190,3 @@ class RegionSupervisor:
             "supervise.abort", region=region_name, failure=failure
         )
         raise RunAbortedError(region_name, failure)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "health": {
-                name: [h.consecutive_failures, h.pinned]
-                for name, h in self._health.items()
-            }
-        }
-
-    def restore(self, blob: dict) -> None:
-        self._health = {
-            str(name): _RegionHealth(int(consecutive), bool(pinned))
-            for name, (consecutive, pinned) in blob["health"].items()
-        }

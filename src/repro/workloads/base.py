@@ -10,7 +10,7 @@ totals (the Figure 9 breakdown).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.machine.rapl import RaplReadError
 from repro.openmp.records import RegionExecutionRecord, RegionTotals
@@ -91,73 +91,6 @@ class _RegionAccumulator:
         self.l2_sum += record.l2_miss_rate
         self.l3_sum += record.l3_miss_rate
 
-    def to_json(self) -> list:
-        return [
-            self.calls, self.implicit_task_s, self.loop_s,
-            self.barrier_s, self.energy_j, self.l1_sum, self.l2_sum,
-            self.l3_sum,
-        ]
-
-    @classmethod
-    def from_json(cls, blob: list) -> "_RegionAccumulator":
-        calls, implicit, loop, barrier, energy, l1, l2, l3 = blob
-        return cls(
-            calls=int(calls),
-            implicit_task_s=float(implicit),
-            loop_s=float(loop),
-            barrier_s=float(barrier),
-            energy_j=float(energy),
-            l1_sum=float(l1),
-            l2_sum=float(l2),
-            l3_sum=float(l3),
-        )
-
-
-@dataclass
-class RunProgress:
-    """Mid-run measurement state for one application run.
-
-    :func:`run_application` threads its accumulation through this
-    object so the experiment runner can checkpoint a run after any
-    completed region invocation and later resume it: a restored
-    ``RunProgress`` makes the loop skip the ``invocations`` already
-    measured and carry on with the same totals, start time and start
-    energy reading.
-    """
-
-    invocations: int = 0
-    t0: float = 0.0
-    e0: float | None = None
-    notes: list[str] = field(default_factory=list)
-    acc: dict[str, _RegionAccumulator] = field(default_factory=dict)
-    started: bool = False
-
-    def snapshot(self) -> dict:
-        return {
-            "invocations": self.invocations,
-            "t0": self.t0,
-            "e0": self.e0,
-            "notes": list(self.notes),
-            "acc": {
-                name: a.to_json() for name, a in self.acc.items()
-            },
-            "started": self.started,
-        }
-
-    @classmethod
-    def from_snapshot(cls, blob: dict) -> "RunProgress":
-        return cls(
-            invocations=int(blob["invocations"]),
-            t0=float(blob["t0"]),
-            e0=None if blob["e0"] is None else float(blob["e0"]),
-            notes=[str(n) for n in blob["notes"]],
-            acc={
-                str(name): _RegionAccumulator.from_json(a)
-                for name, a in blob["acc"].items()
-            },
-            started=bool(blob["started"]),
-        )
-
 
 @dataclass(frozen=True)
 class AppRunResult:
@@ -210,8 +143,7 @@ def run_application(
     *,
     execute: Callable[[RegionProfile], RegionExecutionRecord]
     | None = None,
-    observer: Callable[[RunProgress], None] | None = None,
-    progress: RunProgress | None = None,
+    observer: Callable[[int], None] | None = None,
 ) -> AppRunResult:
     """Execute ``app`` once on ``runtime`` and measure it.
 
@@ -221,47 +153,32 @@ def run_application(
 
     ``execute`` overrides how one region invocation runs (the watchdog
     supervisor wraps ``runtime.parallel_for`` here); ``observer`` is
-    called after every completed invocation (checkpoint writes, cap
-    schedules); ``progress`` resumes a previously checkpointed run -
-    invocations it already covers are skipped.  All three default to
+    called with the completed-invocation count after every invocation
+    (cap schedules, the runner's simulated-kill hook).  Both default to
     the plain uninstrumented run.
     """
     node = runtime.node
     has_energy = node.spec.supports_energy_counters
-    if progress is None:
-        progress = RunProgress()
     if execute is None:
         execute = runtime.parallel_for
-    if not progress.started:
-        progress.started = True
-        progress.t0 = node.now_s
-        progress.e0 = (
-            _read_energy(node, progress.notes, "start")
-            if has_energy
-            else None
-        )
+    notes: list[str] = []
+    t0 = node.now_s
+    e0 = _read_energy(node, notes, "start") if has_energy else None
 
-    acc = progress.acc
-    idx = 0
+    acc: dict[str, _RegionAccumulator] = {}
+    calls = 0
     for _step in range(app.timesteps):
         for rc in app.step_sequence:
             for _ in range(rc.calls):
-                idx += 1
-                if idx <= progress.invocations:
-                    continue
                 bucket = acc.setdefault(
                     rc.region.name, _RegionAccumulator()
                 )
-                record = execute(rc.region)
-                bucket.add(record)
-                progress.invocations = idx
+                bucket.add(execute(rc.region))
+                calls += 1
                 if observer is not None:
-                    observer(progress)
+                    observer(calls)
 
-    calls = progress.invocations
-    notes = progress.notes
-    e0 = progress.e0
-    time_s = node.now_s - progress.t0
+    time_s = node.now_s - t0
     energy_j: float | None = None
     if has_energy and e0 is not None:
         e1 = _read_energy(node, notes, "end")

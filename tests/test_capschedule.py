@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -172,16 +171,6 @@ class TestCapScheduleApplier:
         notes = len(runtime.degradations)
         applier.on_invocation(3, runtime)
         assert len(runtime.degradations) == notes
-
-    def test_snapshot_roundtrip(self):
-        runtime = capped_runtime(85.0)
-        applier = CapScheduleApplier(sched((2, 70.0), (8, 55.0)))
-        applier.on_invocation(2, runtime)
-        clone = CapScheduleApplier(applier.schedule)
-        clone.restore(json.loads(json.dumps(applier.snapshot())))
-        assert clone.log == applier.log
-        clone.on_invocation(8, runtime)
-        assert clone.log[-1].startswith("invocation 8:")
 
 
 class TestScheduleInSetup:

@@ -1,15 +1,14 @@
-"""Tests for session/controller/run checkpointing and kill-resume."""
+"""Tests for run checkpointing and kill-resume."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.core.checkpoint import CheckpointError
+from repro.core.capschedule import CapEvent, CapSchedule
 from repro.experiments.cache import result_to_json
 from repro.experiments.resumable import (
     RUN_CHECKPOINT_SCHEMA,
+    CheckpointError,
     RunCheckpoint,
     SimulatedKill,
     load_run_checkpoint,
@@ -21,106 +20,9 @@ from repro.experiments.runner import (
     run_strategy,
 )
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.harmony.engine import make_strategy
-from repro.harmony.session import (
-    MeasurementGuard,
-    SessionReplayError,
-    TuningSession,
-)
-from repro.harmony.space import Parameter, SearchSpace
 from repro.machine.spec import crill
 from repro.util.jsonlog import LogMismatchError, encode
 from repro.workloads.synthetic import synthetic_application
-
-
-# ---------------------------------------------------------------------------
-# session snapshot / replay
-# ---------------------------------------------------------------------------
-def space3():
-    return SearchSpace(
-        parameters=(
-            Parameter("a", (0, 1, 2, 3)),
-            Parameter("b", (0, 1, 2)),
-        )
-    )
-
-
-def nm_session(space, seed=11):
-    return TuningSession(
-        space,
-        make_strategy("nelder-mead", space, max_evals=30, seed=seed),
-        guard=MeasurementGuard(),
-        strategy_factory=lambda: make_strategy(
-            "nelder-mead", space, max_evals=30, seed=seed + 1
-        ),
-    )
-
-
-def objective(point):
-    return 1.0 + 0.3 * point["a"] + 0.7 * point["b"]
-
-
-def suggested(session):
-    """The session's next suggestion, decoded."""
-    return session.space.decode(session.suggest())
-
-
-class TestSessionSnapshot:
-    def test_midsearch_roundtrip_continues_identically(self):
-        space = space3()
-        original = nm_session(space)
-        for _ in range(6):
-            original.report(objective(suggested(original)))
-
-        restored = nm_session(space)
-        restored.restore(
-            json.loads(json.dumps(original.snapshot()))
-        )
-        for _ in range(30):
-            if original.converged or original.failed:
-                break
-            original.report(objective(suggested(original)))
-            restored.report(objective(suggested(restored)))
-        assert restored.best_point() == original.best_point()
-        assert restored.best_value() == original.best_value()
-        assert restored.search_values == original.search_values
-        assert restored.stats == original.stats
-
-    def test_outstanding_candidate_survives(self):
-        space = space3()
-        original = nm_session(space)
-        original.report(objective(suggested(original)))
-        outstanding = original.suggest()   # asked, not yet reported
-        restored = nm_session(space)
-        restored.restore(original.snapshot())
-        assert restored.suggest() == outstanding
-
-    def test_tampered_tell_sequence_raises_replay_error(self):
-        space = space3()
-        original = nm_session(space, seed=11)
-        for _ in range(4):
-            original.report(objective(suggested(original)))
-        blob = original.snapshot()
-        # rewrite the first tell to a point the strategy never asked
-        first = blob["events"][0][1]
-        blob["events"][0][1] = [
-            (i + 1) % len(p.values)
-            for i, p in zip(first, space.parameters)
-        ]
-        fresh = nm_session(space, seed=11)
-        with pytest.raises(SessionReplayError, match="diverged"):
-            fresh.restore(blob)
-
-    def test_tampered_best_raises_replay_error(self):
-        space = space3()
-        original = nm_session(space)
-        for _ in range(4):
-            original.report(objective(suggested(original)))
-        blob = original.snapshot()
-        blob["best"][1] = blob["best"][1] / 2
-        fresh = nm_session(space)
-        with pytest.raises(SessionReplayError, match="best"):
-            fresh.restore(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +104,12 @@ class TestKillResume:
     def test_resume_is_byte_identical(self, tmp_path):
         app, setup = small_app(), small_setup()
         expected = result_to_json(run_arcs_online(app, setup))
-        total = sum(r["total_region_calls"] for r in expected["runs"])
-        for kill in (1, total // 2, total - 1):
+        calls = [r["total_region_calls"] for r in expected["runs"]]
+        total = sum(calls)
+        # the last invocation of repeat 0 (killed before its boundary
+        # write) and the first of repeat 1 (killed right after it)
+        boundary = calls[0]
+        for kill in (1, boundary, boundary + 1, total // 2, total - 1):
             ck = tmp_path / f"ck{kill}.json"
             with pytest.raises(SimulatedKill):
                 run_arcs_online(
@@ -235,6 +141,25 @@ class TestKillResume:
             )
         resumed = run_arcs_online(app, setup, resume_from=ck)
         assert result_to_json(resumed) == expected
+
+    def test_resume_with_cap_schedule_is_byte_identical(self, tmp_path):
+        app = small_app()
+        setup = small_setup(
+            cap_schedule=CapSchedule(
+                events=(CapEvent(5, 70.0), CapEvent(12, 55.0)),
+            )
+        )
+        expected = result_to_json(run_arcs_online(app, setup))
+        assert expected["cap_changes"]
+        boundary = expected["runs"][0]["total_region_calls"]
+        for kill in (boundary, boundary + 6):
+            ck = tmp_path / f"ck{kill}.json"
+            with pytest.raises(SimulatedKill):
+                run_arcs_online(
+                    app, setup, checkpoint_path=ck, kill_after=kill
+                )
+            resumed = run_arcs_online(app, setup, resume_from=ck)
+            assert result_to_json(resumed) == expected
 
     def test_resume_finished_checkpoint_returns_same_result(
         self, tmp_path
@@ -275,14 +200,17 @@ class TestKillResume:
                 checkpoint_path=tmp_path / "ck.json",
             )
 
-    def test_checkpoint_written_every_invocation(self, tmp_path):
-        app, setup = small_app(), small_setup(repeats=1)
+    def test_kill_mid_repeat_leaves_boundary_checkpoint(self, tmp_path):
+        app, setup = small_app(), small_setup(repeats=2)
+        per_run = app.timesteps * app.calls_per_step()
         ck = tmp_path / "ck.json"
         with pytest.raises(SimulatedKill):
             run_arcs_online(
-                app, setup, checkpoint_path=ck, kill_after=5
+                app, setup, checkpoint_path=ck,
+                kill_after=per_run + per_run // 2,
             )
         blob = load_run_checkpoint(ck)
-        assert blob["next_run"] == 0
-        assert blob["active"]["progress"]["invocations"] == 5
+        assert blob["next_run"] == 1
+        assert len(blob["runs"]) == 1
+        assert "active" not in blob
         assert RunCheckpoint(ck).read_header()["strategy"] == "arcs-online"

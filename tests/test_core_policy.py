@@ -143,16 +143,6 @@ class TestReplayMode:
         assert "'r'" in str(err.value)
         assert "other" in str(err.value)
 
-    def test_unknown_region_tolerated_when_not_strict(self, runtime):
-        history = HistoryStore()
-        history.save("k", {"other": OMPConfig(4)})
-        attach_arcs(
-            runtime, history=history, history_key="k", replay=True,
-            strict_replay=False,
-        )
-        rec = runtime.parallel_for(make_region(name="r"))
-        assert rec.config.n_threads == 32
-
     def test_replay_requires_history(self, runtime):
         with pytest.raises(ValueError):
             ARCS(runtime, replay=True)

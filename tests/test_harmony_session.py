@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.harmony.engine import make_strategy
 from repro.harmony.exhaustive import ExhaustiveSearch
 from repro.harmony.neldermead import NelderMeadSearch
-from repro.harmony.session import TuningSession
+from repro.harmony.session import MeasurementGuard, TuningSession
 from repro.harmony.space import Parameter, SearchSpace
 
 
@@ -101,3 +104,53 @@ class TestSessionProtocol:
         while not session.converged:
             session.report(objective(suggested(session)))
         assert session.best_point() is not None
+
+
+#: measurements a guard must reject: NaN, infinities, negatives and a
+#: timer spike far beyond any configuration's spread
+_BAD = (float("nan"), float("inf"), -1.0, 1e12)
+
+#: one execution's measurement: ("ok", scale) reports the objective of
+#: the suggested point times ``scale``; ("bad", value) reports ``value``
+_MEASUREMENTS = st.one_of(
+    st.tuples(st.just("ok"), st.floats(0.5, 2.0)),
+    st.tuples(st.just("bad"), st.sampled_from(_BAD)),
+)
+
+
+class TestMonotoneBest:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        plan=st.lists(_MEASUREMENTS, min_size=1, max_size=80),
+    )
+    @example(
+        seed=0,
+        plan=[("ok", 1.0), ("bad", 1e12), ("bad", -1.0)] * 4
+        + [("ok", 1.0)] * 20,
+    )
+    def test_best_is_min_of_accepted_values(self, seed, plan):
+        """Through rejections and strategy restarts, the session's best
+        is the minimum of the values it accepted after every accepted
+        report: the best only ever improves."""
+        space = SearchSpace(
+            parameters=(
+                Parameter("a", (0, 1, 2, 3)),
+                Parameter("b", (0, 1, 2)),
+            )
+        )
+        session = TuningSession(
+            space,
+            make_strategy("nelder-mead", space, max_evals=30, seed=seed),
+            guard=MeasurementGuard(warmup=1, max_rejects=1),
+            strategy_factory=lambda: make_strategy(
+                "nelder-mead", space, max_evals=30, seed=seed + 1
+            ),
+        )
+        for kind, x in plan:
+            if session.converged or session.failed:
+                break
+            point = suggested(session)
+            value = objective(point) * x if kind == "ok" else x
+            if session.report(value):
+                assert session.best_value() == min(session.search_values)

@@ -21,12 +21,12 @@ import re
 import pytest
 
 from repro.analysis.records import fleet_survival_records, journal_records
-from repro.core.checkpoint import CheckpointError
 from repro.core.history import CorruptHistoryError, HistoryStore
 from repro.experiments.cache import ExperimentCache, result_to_json
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.experiments.resumable import (
+    CheckpointError,
     SimulatedKill,
     load_run_checkpoint,
     write_run_checkpoint,
@@ -204,12 +204,18 @@ def _history_check(path):
 
 
 def _checkpoint_write(path):
-    snapshot = {
-        "runs": [],
+    record = {
+        "runs": [{"app_label": "synthetic", "time_s": 0.0799}],
+        "fallbacks": {},
+        "dropouts": 0,
+        "configs": {
+            "r": {"n_threads": 16, "schedule": "guided", "chunk": 8}
+        },
+        "overhead": None,
+        "cap_changes": ["invocation 30: power cap 85W -> 70W"],
         "next_run": 1,
-        "active": {"node": {"now_s": 0.0799, "caps": [85.0, 70.0]}},
     }
-    write_run_checkpoint(path, CKPT_META, snapshot)
+    write_run_checkpoint(path, CKPT_META, record)
     return path
 
 
@@ -341,12 +347,17 @@ class TestWholeFileRegressions:
         _history_check(path)
 
     def test_checkpoint_clock_doubled(self, tmp_path):
-        app = synthetic_application()
-        setup = ExperimentSetup(spec=crill(), cap_w=85.0, repeats=1)
+        app = synthetic_application(timesteps=4)
+        setup = ExperimentSetup(spec=crill(), cap_w=85.0, repeats=2)
+        per_run = app.timesteps * app.calls_per_step()
         ck = tmp_path / "ck.jsonl"
         with pytest.raises(SimulatedKill):
-            run_arcs_online(app, setup, checkpoint_path=ck, kill_after=30)
-        _edit_value(ck, "now_s", lambda t: t * 2)
+            run_arcs_online(
+                app, setup, checkpoint_path=ck, kill_after=per_run + 3
+            )
+        # the completed repeat's wall time: still parses, no longer
+        # verifies
+        _edit_value(ck, "time_s", lambda t: t * 2)
         tampered = ck.read_bytes()
         with pytest.raises(CheckpointError, match="damaged"):
             run_arcs_online(app, setup, resume_from=ck)

@@ -3,8 +3,6 @@ configuration-change overhead and measurement noise."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.machine.node import SimulatedNode
@@ -12,7 +10,7 @@ from repro.machine.spec import crill
 from repro.openmp.ompt import OmptEvent
 from repro.openmp.runtime import CONFIG_CALL_OVERHEAD_S, OpenMPRuntime
 from repro.openmp.types import OMPConfig, ScheduleKind
-from repro.util.rng import _FIRST_BLOCK, rng_for
+from repro.util.rng import rng_for
 from tests.test_openmp_engine import make_region
 
 
@@ -52,23 +50,22 @@ class TestOmpRoutines:
 
 
 #: steps driving the runtime's cached state: omp_set_* calls, cap
-#: writes (pending, then settled), DVFS ceilings and checkpoint restores
+#: writes (pending, then settled) and DVFS ceilings
 _STATE_STEPS = {
     "omp-calls": [
         ("threads", 8), ("schedule", ScheduleKind.GUIDED, 16),
-        ("threads", 8), ("restore",),
-        ("schedule", ScheduleKind.STATIC, None),
+        ("threads", 8), ("schedule", ScheduleKind.STATIC, None),
     ],
     "cap-change": [
         ("threads", 4), ("cap", 30.0), ("threads", 8), ("settle",),
         ("threads", 16), ("schedule", ScheduleKind.DYNAMIC, 1),
         ("cap", 25.0), ("settle",), ("threads", 2), ("cap", None),
-        ("settle",), ("threads", 4), ("restore",),
+        ("settle",), ("threads", 4),
     ],
     "dvfs-ceiling": [
         ("threads", 4), ("freq", 1.2), ("threads", 8),
         ("schedule", ScheduleKind.GUIDED, 8), ("cap", 30.0), ("settle",),
-        ("threads", 16), ("freq", None), ("restore",), ("threads", 2),
+        ("threads", 16), ("freq", None), ("threads", 2),
     ],
 }
 
@@ -101,14 +98,8 @@ def test_cached_runtime_state_matches_its_sources(steps, monkeypatch):
             node.set_power_cap(*args)
         elif kind == "settle":
             node.settle_after_cap()
-        elif kind == "freq":
-            runtime.set_frequency_limit(*args)
         else:
-            blob = json.loads(json.dumps(runtime.snapshot()))
-            fresh = OpenMPRuntime(SimulatedNode(crill()))
-            fresh.restore(blob)
-            assert fresh.current_config() == runtime.current_config()
-            runtime.restore(blob)
+            runtime.set_frequency_limit(*args)
         assert runtime.current_config() == OMPConfig(
             runtime.omp_get_num_threads(), *runtime.omp_get_schedule()
         )
@@ -214,37 +205,6 @@ class TestNoise:
             assert noisy.parallel_for(make_region()).time_s == (
                 base * factor
             )
-
-    # the stream seeds blocks of 16, 32, ... indices starting at index
-    # 1, so these are the last indices of its first two blocks
-    @pytest.mark.parametrize("boundary", [_FIRST_BLOCK, 3 * _FIRST_BLOCK])
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    @pytest.mark.parametrize("into", ["fresh", "used"])
-    def test_restore_at_block_boundary_resumes(self, boundary, offset, into):
-        def build():
-            return OpenMPRuntime(
-                SimulatedNode(crill()), seed=11, noise_sigma=0.02
-            )
-
-        region = make_region()
-        original = build()
-        for _ in range(boundary + offset):
-            original.parallel_for(region)
-        node_blob = json.loads(json.dumps(original.node.snapshot()))
-        blob = json.loads(json.dumps(original.snapshot()))
-        assert blob["call_index"] == boundary + offset
-        resumed = build()
-        if into == "used":
-            # a runtime that has already seeded other indices
-            for _ in range(5):
-                resumed.parallel_for(region)
-        resumed.node.restore(node_blob)
-        resumed.restore(blob)
-        expected = [original.parallel_for(region) for _ in range(300)]
-        assert [resumed.parallel_for(region) for _ in range(300)] == (
-            expected
-        )
-        assert resumed.node.snapshot() == original.node.snapshot()
 
 
 class TestOmptDispatch:

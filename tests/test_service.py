@@ -16,7 +16,6 @@ import socket
 
 import pytest
 
-from repro.core.history import HistoryStore
 from repro.experiments.cache import result_to_json
 from repro.experiments.parallel import SweepTask, run_sweep_task
 from repro.experiments.runner import ExperimentSetup, run_arcs_offline
@@ -669,38 +668,6 @@ class TestRunnerIntegration:
             if d.startswith("config source service")
         ]
         assert service_notes
-
-    def test_replay_controller_pulls_from_chain(self, daemon):
-        # seed the service with tuned knowledge
-        chain = default_chain(addr_str(daemon), memo={})
-        setup = offline_setup()
-        run_arcs_offline(APP, setup, source=chain)
-        # a replay-mode controller with an EMPTY history resolves the
-        # entry through the chain instead of raising HistoryKeyMissing
-        from repro.core.controller import ARCS
-        from repro.core.history import HistoryKeyMissing, experiment_key
-        from repro.experiments.runner import fresh_runtime
-
-        key = experiment_key(
-            APP.name, setup.spec.name, setup.cap_w, APP.workload
-        )
-        with pytest.raises(HistoryKeyMissing):
-            ARCS(
-                fresh_runtime(setup),
-                history=HistoryStore(),
-                history_key=key,
-                replay=True,
-            )
-        fresh_chain = default_chain(addr_str(daemon), memo={})
-        arcs = ARCS(
-            fresh_runtime(setup),
-            history=HistoryStore(),
-            history_key=key,
-            replay=True,
-            source=fresh_chain,
-            source_key=config_key(APP, setup),
-        )
-        assert arcs.chosen_configs()
 
 
 class TestSweepTaskIntegration:

@@ -151,14 +151,3 @@ class TestHangsAndDeadlines:
             assert record is not None
         assert len(pinned) == 1
         assert "stalled" in pinned[0][1]
-
-
-class TestSnapshot:
-    def test_roundtrip(self):
-        runtime = faulty_runtime(crash_spec(max_fires=2))
-        sup = RegionSupervisor(runtime)
-        sup.execute(make_region(name="r"))
-        clone = RegionSupervisor(runtime)
-        clone.restore(sup.snapshot())
-        assert clone.snapshot() == sup.snapshot()
-        assert clone._health["r"].consecutive_failures == 0

@@ -2,17 +2,16 @@
 
 Each iteration draws a randomized fault plan and cap schedule, runs an
 uninterrupted baseline, then kills the same experiment at several
-random points (via the runner's ``kill_after`` hook, which raises
-right after the checkpoint write) and resumes each from its
-checkpoint.  The soak asserts, per kill point:
+random points (via the runner's ``kill_after`` hook, which leaves the
+last repeat-boundary checkpoint on disk) and resumes each from that
+checkpoint.  A two-repeat iteration always also kills at the last
+invocation of the first repeat, just before its boundary write.  The
+soak asserts, per kill point:
 
 * **equivalence** - the resumed run's full-fidelity JSON encoding is
   byte-identical to the baseline's;
 * **no-NaN** - every float anywhere in the result and in the
   checkpoint left behind is finite;
-* **monotone best** - every checkpointed tuning session's recorded
-  best matches the minimum of the objective values it was told (the
-  best can only improve as measurements accumulate);
 * **tamper refusal** - on the first iteration, the checkpoint left by
   the first kill with one byte flipped must be refused with
   ``CheckpointError`` before the intact file is resumed.
@@ -47,9 +46,9 @@ import time
 from pathlib import Path
 
 from repro.core.capschedule import CapEvent, CapSchedule
-from repro.core.checkpoint import CheckpointError
 from repro.experiments.cache import result_to_json
 from repro.experiments.resumable import (
+    CheckpointError,
     SimulatedKill,
     load_run_checkpoint,
 )
@@ -153,41 +152,6 @@ def _assert_finite(blob, where: str) -> None:
             )
 
 
-def _assert_monotone_best(checkpoint: dict, where: str) -> None:
-    """Every checkpointed session's recorded best must equal the
-    minimum objective it has been told (ties allowed)."""
-    active = checkpoint.get("active")
-    if not active:
-        return
-    regions = active["controller"]["policy"]["regions"]
-    for key, state in regions.items():
-        session = state.get("session")
-        if not session:
-            continue
-        tells = [
-            event[2]
-            for event in session["events"]
-            if event[0] == "tell"
-        ]
-        best = session.get("best")
-        if not tells:
-            if best is not None:
-                raise AssertionError(
-                    f"{where}: session {key} has a best with no tells"
-                )
-            continue
-        if best is None:
-            raise AssertionError(
-                f"{where}: session {key} was told {len(tells)} "
-                "value(s) but records no best"
-            )
-        if best[1] != min(tells):
-            raise AssertionError(
-                f"{where}: session {key} best {best[1]} != min told "
-                f"value {min(tells)}"
-            )
-
-
 def _assert_tamper_refused(
     app, setup, ck: Path, rng: random.Random
 ) -> None:
@@ -236,9 +200,12 @@ def _iteration(
     _assert_finite(expected, f"iter {iteration} baseline result")
     total = sum(r.total_region_calls for r in baseline.runs)
 
-    kills = sorted(
-        rng.sample(range(1, total), min(kill_points, total - 1))
-    )
+    kills = set(rng.sample(range(1, total), min(kill_points, total - 1)))
+    if repeats == 2:
+        # the last invocation of repeat 0: killed just before the
+        # boundary write, so the resume re-runs the whole repeat
+        kills.add(baseline.runs[0].total_region_calls)
+    kills = sorted(kills)
     for kill in kills:
         ck = tmp / f"soak-{iteration}-{kill}.jsonl"
         try:
@@ -254,7 +221,6 @@ def _iteration(
         checkpoint = load_run_checkpoint(ck)
         where = f"iter {iteration} kill {kill} checkpoint"
         _assert_finite(checkpoint, where)
-        _assert_monotone_best(checkpoint, where)
         if iteration == 0 and kill == kills[0]:
             _assert_tamper_refused(app, setup, ck, rng)
 
