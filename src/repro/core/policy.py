@@ -93,9 +93,6 @@ class RegionTuningState:
     #: why tuning gave up on this region (``None`` = healthy); when
     #: set, the region runs the default configuration from then on.
     degraded: str | None = None
-    #: the resolved start point the session was created with (the warm
-    #: start, or the policy default).
-    session_start: tuple[int, ...] | None = None
     #: restart count at the last batched-prefetch hint; -1 = never
     #: hinted.  Re-hinting happens once per strategy instance (session
     #: start and each divergence restart), when the strategy's preview
@@ -222,11 +219,9 @@ class ArcsPolicy(Policy):
                 # selective mode measures the first call with the
                 # current config before deciding whether to tune
                 return
-            start = self._warm_start(context.timer_name)
-            state.session_start = (
-                start if start is not None else self._start_point
+            state.session = self._new_session(
+                key, start=self._warm_start(context.timer_name)
             )
-            state.session = self._new_session(key, start=start)
 
         if state.session.failed:
             # degraded mode: tuning could not produce a trusted

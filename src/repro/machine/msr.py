@@ -27,6 +27,12 @@ _COUNTER_BITS = 32
 _COUNTER_MASK = (1 << _COUNTER_BITS) - 1
 
 
+def _energy_units_per_joule(power_unit_raw: int) -> float:
+    """Decode the energy-status unit (bits 12:8) of a power-unit
+    register value."""
+    return float(1 << ((power_unit_raw >> 8) & 0x1F))
+
+
 @dataclass
 class MsrFile:
     """Per-socket register storage with the semantics MSRs actually have
@@ -34,8 +40,16 @@ class MsrFile:
 
     sockets: int
     _regs: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: per socket: the decoded energy unit of MSR_RAPL_POWER_UNIT,
+    #: refreshed whenever that register is written.
+    _units_per_j: list[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        self._units_per_j = [
+            _energy_units_per_joule(DEFAULT_POWER_UNIT_RAW)
+        ] * self.sockets
         for socket in range(self.sockets):
             self._regs[(socket, MSR_RAPL_POWER_UNIT)] = (
                 DEFAULT_POWER_UNIT_RAW
@@ -70,12 +84,17 @@ class MsrFile:
         if (socket, address) not in self._regs:
             raise KeyError(f"wrmsr fault: MSR {address:#x} not implemented")
         self._regs[(socket, address)] = value & ((1 << 64) - 1)
+        if address == MSR_RAPL_POWER_UNIT:
+            self._units_per_j[socket] = _energy_units_per_joule(
+                self._regs[(socket, address)]
+            )
 
     # -- energy counter helpers (used by the RAPL layer) ----------------
     def energy_units_per_joule(self, socket: int) -> float:
-        raw = self.read(socket, MSR_RAPL_POWER_UNIT)
-        esu_bits = (raw >> 8) & 0x1F
-        return float(1 << esu_bits)
+        """Counter units per joule, as ``MSR_RAPL_POWER_UNIT`` encodes
+        them (decoded when the register is written, not per call)."""
+        self._check_socket(socket)
+        return self._units_per_j[socket]
 
     def snapshot(self) -> dict:
         """Read-only JSON view of the register contents (tuple keys
@@ -87,17 +106,18 @@ class MsrFile:
             ]
         }
 
-    def bump_counter(
-        self, socket: int, address: int, units: int
-    ) -> None:
-        """Advance a wrapping 32-bit counter MSR by ``units``."""
+    def bump_counter(self, socket: int, address: int, units: int) -> int:
+        """Advance a wrapping 32-bit counter MSR by ``units``; returns
+        the value before the bump."""
         if units < 0:
             raise ValueError(f"units must be >= 0, got {units}")
         self._check_socket(socket)
         key = (socket, address)
-        if key not in self._regs:
+        before = self._regs.get(key)
+        if before is None:
             raise KeyError(f"MSR {address:#x} not implemented")
-        self._regs[key] = (self._regs[key] + units) & _COUNTER_MASK
+        self._regs[key] = (before + units) & _COUNTER_MASK
+        return before
 
     def bump_energy_counter(self, socket: int, units: int) -> None:
         """Advance the wrapping package energy counter by ``units``."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from repro.machine.spec import MachineSpec
 from repro.util.units import us
@@ -49,11 +50,38 @@ class IdleAccounting:
     transition_s: float
 
 
+@dataclass(frozen=True)
+class FrequencyPower:
+    """The power model's per-core constants at one frequency: what the
+    engine's energy integral reads once per region instead of
+    re-deriving per core."""
+
+    core_dynamic_w: float
+    uncore_w: float
+    spin_w: float
+    sleep_w: float
+    #: waits longer than this sleep, shorter ones spin.
+    sleep_after_s: float
+    transition_s: float
+
+    def idle_energy_j(self, wait_s: float) -> float:
+        """Energy burnt by one core waiting ``wait_s`` at a barrier:
+        spinning throughout, or one transition spent spinning and the
+        rest asleep."""
+        if wait_s <= self.sleep_after_s:
+            return wait_s * self.spin_w
+        sleep_time = max(0.0, wait_s - self.transition_s)
+        return self.transition_s * self.spin_w + sleep_time * self.sleep_w
+
+
 class PowerModel:
     """Evaluates package power draw and idle-interval energy."""
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
+        # bounded: a fleet's allocator hands out arbitrary caps, so the
+        # set of frequencies a node visits is open-ended
+        self.at_frequency = lru_cache(maxsize=1024)(self._at_frequency)
 
     # ------------------------------------------------------------------
     # instantaneous power
@@ -117,14 +145,23 @@ class PowerModel:
     #: spin (the Section V "short OpenMP waits don't reach sleep" case).
     SLEEP_BREAKEVEN_MULTIPLIER = 3.0
 
-    def sleep_worthwhile_s(self, freq_ghz: float) -> float:
-        """Wait duration above which the governor puts a core to sleep."""
+    def _at_frequency(self, freq_ghz: float) -> FrequencyPower:
+        """Per-core constants at ``freq_ghz`` (cached per frequency as
+        :attr:`at_frequency`)."""
         dyn = self.core_dynamic_w(freq_ghz)
         spin_w = self.spec.idle_spin_fraction * dyn
+        transition = us(self.spec.sleep_transition_us)
         if spin_w <= self.spec.idle_core_sleep_w:
-            return float("inf")
-        return self.SLEEP_BREAKEVEN_MULTIPLIER * us(
-            self.spec.sleep_transition_us
+            sleep_after = float("inf")
+        else:
+            sleep_after = self.SLEEP_BREAKEVEN_MULTIPLIER * transition
+        return FrequencyPower(
+            core_dynamic_w=dyn,
+            uncore_w=self.uncore_w(freq_ghz),
+            spin_w=spin_w,
+            sleep_w=self.spec.idle_core_sleep_w,
+            sleep_after_s=sleep_after,
+            transition_s=transition,
         )
 
     def idle_interval(
@@ -132,17 +169,14 @@ class PowerModel:
     ) -> IdleAccounting:
         """Energy burnt by one core waiting ``wait_s`` at a barrier."""
         require_nonnegative("wait_s", wait_s)
-        dyn = self.core_dynamic_w(freq_ghz)
-        spin_w = self.spec.idle_spin_fraction * dyn
-        transition = us(self.spec.sleep_transition_us)
-        if wait_s <= self.sleep_worthwhile_s(freq_ghz):
+        at = self.at_frequency(freq_ghz)
+        energy = at.idle_energy_j(wait_s)
+        if wait_s <= at.sleep_after_s:
             return IdleAccounting(
-                state=IdleState.SPIN,
-                energy_j=wait_s * spin_w,
-                transition_s=0.0,
+                state=IdleState.SPIN, energy_j=energy, transition_s=0.0
             )
-        sleep_time = max(0.0, wait_s - transition)
-        energy = transition * spin_w + sleep_time * self.spec.idle_core_sleep_w
         return IdleAccounting(
-            state=IdleState.SLEEP, energy_j=energy, transition_s=transition
+            state=IdleState.SLEEP,
+            energy_j=energy,
+            transition_s=at.transition_s,
         )

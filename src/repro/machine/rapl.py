@@ -257,8 +257,7 @@ class Rapl:
         units = int(account.pending_j * units_per_j)
         if units > 0:
             account.pending_j -= units / units_per_j
-            before = self.msr.read(socket, address)
-            self.msr.bump_counter(socket, address, units)
+            before = self.msr.bump_counter(socket, address, units)
             account.wraps += (before + units) >> _COUNTER_BITS
 
     def counter_span_j(self, socket: int = 0) -> float:

@@ -10,7 +10,7 @@ power/frequency model) and (b) each thread's SMT throughput factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.machine.spec import MachineSpec
 
@@ -37,34 +37,57 @@ class Placement:
     def n_threads(self) -> int:
         return len(self.slots)
 
-    @property
-    def active_cores_per_socket(self) -> tuple[int, ...]:
-        counts = [set() for _ in range(self.spec.sockets)]
+    # Team context, derived once per placement (``Topology.place``
+    # caches one placement per team size): the engine reads it on every
+    # region evaluation.
+    @cached_property
+    def cores(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """``(socket, core, thread ids)`` of each physical core the team
+        occupies, in order of first occupancy."""
+        tids: dict[tuple[int, int], list[int]] = {}
         for slot in self.slots:
-            counts[slot.socket].add(slot.core)
-        return tuple(len(c) for c in counts)
+            tids.setdefault((slot.socket, slot.core), []).append(
+                slot.thread_id
+            )
+        return tuple(
+            (socket, core, tuple(ids))
+            for (socket, core), ids in tids.items()
+        )
 
-    @property
+    @cached_property
+    def active_cores_per_socket(self) -> tuple[int, ...]:
+        counts = [0] * self.spec.sockets
+        for socket, _core, _tids in self.cores:
+            counts[socket] += 1
+        return tuple(counts)
+
+    @cached_property
     def threads_per_socket(self) -> tuple[int, ...]:
         counts = [0] * self.spec.sockets
         for slot in self.slots:
             counts[slot.socket] += 1
         return tuple(counts)
 
+    @cached_property
+    def _siblings(self) -> dict[tuple[int, int], int]:
+        return {
+            (socket, core): len(tids) for socket, core, tids in self.cores
+        }
+
     def siblings_active(self, slot: ThreadSlot) -> int:
         """Number of team threads sharing ``slot``'s physical core."""
-        return sum(
-            1
-            for other in self.slots
-            if other.socket == slot.socket and other.core == slot.core
-        )
+        return self._siblings.get((slot.socket, slot.core), 0)
 
-    def per_thread_throughput(self) -> tuple[float, ...]:
-        """SMT throughput factor for each thread (1.0 = full core)."""
+    @cached_property
+    def _throughput(self) -> tuple[float, ...]:
         return tuple(
             self.spec.smt_per_thread_throughput(self.siblings_active(s))
             for s in self.slots
         )
+
+    def per_thread_throughput(self) -> tuple[float, ...]:
+        """SMT throughput factor for each thread (1.0 = full core)."""
+        return self._throughput
 
 
 class Topology:

@@ -54,6 +54,18 @@ _BW_FIXED_POINT_ITERS = 3
 
 
 @dataclass(frozen=True)
+class _EnergyTeam:
+    """Placement-derived terms of the energy integral for one team size."""
+
+    #: per occupied core: (socket, thread ids, SMT dynamic-power
+    #: multiplier, whether the master thread runs there)
+    cores: tuple[tuple[int, tuple[int, ...], float, bool], ...]
+    master_socket: int
+    #: per socket: draw of the cores outside the team (asleep)
+    unused_sleep_w: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class _WeightCacheEntry:
     weights: np.ndarray
     prefix: np.ndarray  # prefix[i] = sum(weights[:i])
@@ -73,6 +85,7 @@ class ExecutionEngine:
         self.costs = costs or TeamCosts()
         self._weight_cache: dict[tuple[str, int], _WeightCacheEntry] = {}
         self._record_cache: dict[tuple, RegionExecutionRecord] = {}
+        self._energy_teams: dict[int, _EnergyTeam] = {}
 
     # ------------------------------------------------------------------
     def _caps(self) -> tuple[float | None, ...]:
@@ -338,8 +351,9 @@ class ExecutionEngine:
         # time is dominated by barrier waits no configuration can fix.
         serial_barrier_s = (n_threads - 1) * serial_s
 
+        finish_s = finish.tolist()
         energy_j = self._energy(
-            placement, freqs, finish, t_compute, serial_s, time_s
+            placement, freqs, finish_s, t_compute, serial_s, time_s
         )
 
         # -- aggregate cache metrics (thread-weighted across sockets) ----
@@ -370,7 +384,7 @@ class ExecutionEngine:
             + n_threads * barrier_base
             + serial_barrier_s,
             barrier_wait_max_s=float(waits.max()) + barrier_base,
-            thread_busy_s=tuple(float(x) for x in finish),
+            thread_busy_s=tuple(finish_s),
             energy_j=energy_j,
             avg_power_w=energy_j / time_s if time_s > 0 else 0.0,
             frequencies_ghz=freqs,
@@ -446,47 +460,66 @@ class ExecutionEngine:
         return finish, float(dispatch_time.max())
 
     # ------------------------------------------------------------------
+    def _energy_team(self, placement) -> _EnergyTeam:
+        team = self._energy_teams.get(placement.n_threads)
+        if team is None:
+            spec = self.node.spec
+            cores = tuple(
+                (
+                    socket,
+                    tids,
+                    1.0 + _SMT_POWER_FACTOR * (len(tids) - 1),
+                    0 in tids,
+                )
+                for socket, _core, tids in placement.cores
+            )
+            team = _EnergyTeam(
+                cores=cores,
+                master_socket=placement.slots[0].socket,
+                unused_sleep_w=tuple(
+                    (spec.cores_per_socket - active)
+                    * spec.idle_core_sleep_w
+                    for active in placement.active_cores_per_socket
+                ),
+            )
+            self._energy_teams[placement.n_threads] = team
+        return team
+
     def _energy(
         self,
         placement,
         freqs: tuple[float, ...],
-        finish: np.ndarray,
+        finish: list[float],
         t_compute: float,
         serial_s: float,
         time_s: float,
     ) -> float:
-        """Integrate the package power model over the region."""
-        spec = self.node.spec
-        power = self.node.power
-        energy = 0.0
-        # group team threads by (socket, core)
-        cores: dict[tuple[int, int], list[int]] = {}
-        for slot in placement.slots:
-            cores.setdefault((slot.socket, slot.core), []).append(
-                slot.thread_id
-            )
-        team_cores_per_socket = [0] * spec.sockets
-        for (socket, _core), tids in cores.items():
-            team_cores_per_socket[socket] += 1
-            f = freqs[socket]
-            dyn = power.core_dynamic_w(f)
-            active = float(max(finish[tid] for tid in tids))
-            smt_extra = _SMT_POWER_FACTOR * (len(tids) - 1)
-            energy += dyn * (1.0 + smt_extra) * active
-            wait = max(0.0, t_compute - active)
-            energy += power.idle_interval(wait, f).energy_j
+        """Integrate the package power model over the region.
+
+        The team's core groups come from :meth:`_energy_team` and the
+        per-core constants from ``PowerModel.at_frequency``; the sum
+        runs core by core, then socket by socket, in a fixed order.
+        """
+        team = self._energy_team(placement)
+        at = [self.node.power.at_frequency(f) for f in freqs]
+        serial = serial_s > 0
+        if serial:
             # serial prologue: team cores idle, except the master's core
-            if serial_s > 0 and 0 not in tids:
-                energy += power.idle_interval(serial_s, f).energy_j
+            serial_idle_j = [p.idle_energy_j(serial_s) for p in at]
+        energy = 0.0
+        for socket, tids, smt_mult, has_master in team.cores:
+            p = at[socket]
+            active = max([finish[tid] for tid in tids])
+            energy += p.core_dynamic_w * smt_mult * active
+            energy += p.idle_energy_j(max(0.0, t_compute - active))
+            if serial and not has_master:
+                energy += serial_idle_j[socket]
         # master core during serial prologue
-        if serial_s > 0:
-            master_socket = placement.slots[0].socket
-            energy += power.core_dynamic_w(freqs[master_socket]) * serial_s
-        for socket in range(spec.sockets):
-            f = freqs[socket]
+        if serial:
+            energy += at[team.master_socket].core_dynamic_w * serial_s
+        for socket, p in enumerate(at):
             # uncore draws for the whole region
-            energy += power.uncore_w(f) * time_s
+            energy += p.uncore_w * time_s
             # cores outside the team sleep throughout
-            unused = spec.cores_per_socket - team_cores_per_socket[socket]
-            energy += unused * spec.idle_core_sleep_w * time_s
+            energy += team.unused_sleep_w[socket] * time_s
         return energy

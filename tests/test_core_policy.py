@@ -8,6 +8,7 @@ from repro.core.controller import ARCS
 from repro.core.history import HistoryStore
 from repro.core.policy import ArcsPolicy, MissingRegionConfigError
 from repro.harmony.space import Parameter, SearchSpace
+from repro.openmp.region import ImbalanceSpec
 from repro.openmp.types import OMPConfig, ScheduleKind
 from tests.test_openmp_engine import make_region
 
@@ -294,17 +295,21 @@ class TestCapAwareWarmStart:
         level's session must start from the TDP best."""
         space = tiny_space()
         arcs = attach_arcs(
-            runtime, strategy="exhaustive", cap_aware=True
+            runtime, strategy="nelder-mead", cap_aware=True
         )
-        region = make_region(name="r")
+        # imbalanced, so the TDP best (dynamic) is not the default start
+        region = make_region(
+            name="r", imbalance=ImbalanceSpec(kind="linear", amplitude=2.0)
+        )
         for _ in range(space.size + 1):
             runtime.parallel_for(region)
         donor = arcs.policy.sessions()["r@tdp"].best_point()
+        assert space.encode(donor) != arcs.policy._start_point
         runtime.node.set_power_cap(55.0)
         runtime.node.settle_after_cap()
         runtime.parallel_for(region)
         state = arcs.policy.regions["r@55W"]
-        assert state.session_start == space.encode(donor)
+        assert state.session.strategy._start == space.encode(donor)
 
 
 class TestPinRegion:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.machine.msr import (
+    DEFAULT_POWER_UNIT_RAW,
     MSR_DRAM_ENERGY_STATUS,
     MSR_PKG_ENERGY_STATUS,
     MSR_PKG_POWER_LIMIT,
@@ -17,6 +18,7 @@ from repro.machine.msr import (
 from repro.machine.node import SimulatedNode
 from repro.machine.rapl import Rapl, RaplDomain
 from repro.machine.spec import crill, minotaur
+from repro.telemetry.bus import telemetry_session
 
 
 @pytest.fixture
@@ -59,6 +61,46 @@ class TestMsrFile:
 
     def test_energy_units(self, msr):
         assert msr.energy_units_per_joule(0) == pytest.approx(65536.0)
+
+    def test_bump_counter_returns_pre_bump_value_across_wrap(self, msr):
+        msr.bump_energy_counter(0, (1 << 32) - 3)
+        before = msr.bump_counter(0, MSR_PKG_ENERGY_STATUS, 5)
+        assert before == (1 << 32) - 3
+        assert msr.read_energy_counter(0) == 2
+        assert msr.bump_counter(0, MSR_PKG_ENERGY_STATUS, 1) == 2
+
+
+#: the default power-unit register with a 2^-14 J energy unit
+_COARSE_UNIT_RAW = (DEFAULT_POWER_UNIT_RAW & ~(0x1F << 8)) | (14 << 8)
+
+
+class TestPowerUnitWrite:
+    def test_write_changes_units_per_joule(self, msr):
+        msr.write(0, MSR_RAPL_POWER_UNIT, _COARSE_UNIT_RAW)
+        assert msr.energy_units_per_joule(0) == 16384.0
+        assert msr.energy_units_per_joule(1) == 65536.0
+
+    def test_write_changes_counter_span(self, rapl, msr):
+        assert rapl.counter_span_j(0) == 65536.0
+        msr.write(0, MSR_RAPL_POWER_UNIT, _COARSE_UNIT_RAW)
+        assert rapl.counter_span_j(0) == 262144.0
+        assert rapl.counter_span_j(1) == 65536.0
+
+    def test_next_flush_uses_new_quantum(self, rapl, msr):
+        msr.write(0, MSR_RAPL_POWER_UNIT, _COARSE_UNIT_RAW)
+        # 2.5 units of 2^-14 J (10 units of the default 2^-16 J)
+        rapl.deposit_energy(0, 2.5 / 16384, now_s=0.0)
+        rapl.force_update(1.0)
+        assert msr.read_energy_counter(0) == 2
+        assert rapl.read_package_energy_j(0) == 2 / 16384
+
+    def test_flush_reads_no_register(self, rapl):
+        with telemetry_session() as tb:
+            rapl.deposit_energy(0, 3.0, now_s=0.0021)
+            rapl.force_update(0.003)
+            assert tb.metrics.counters["msr.reads"] == 0
+            rapl.read_package_energy_j(0)
+            assert tb.metrics.counters["msr.reads"] == 1
 
 
 class TestRaplCapping:
