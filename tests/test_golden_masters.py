@@ -2,9 +2,9 @@
 
 Each test runs a reduced (but structurally faithful) version of a
 paper artifact - the Figure 4 / Figure 7 power sweeps and Table II -
-serializes the :class:`StrategyRunResult` payloads to canonical JSON,
-and compares them byte-for-byte against the checked-in files under
-``tests/goldens/``.
+or a small fault-armed fleet run - serializes the payloads to
+canonical JSON, and compares them byte-for-byte against the checked-in
+files under ``tests/goldens/``.
 
 When a model change *intentionally* shifts the numbers, refresh the
 goldens and review the diff like any other code change:
@@ -25,12 +25,17 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cache import result_to_json
+from repro.faults import load_fault_plan
 from repro.experiments.figures import power_sweep
 from repro.experiments.runner import ExperimentSetup
 from repro.experiments.tables import table2_sp_optimal_configs
+from repro.fleet import FleetSimulation, fleet_result_to_json
+from repro.fleet.plan import synthesize_fleet
 from repro.machine.spec import crill
 from repro.workloads.bt import bt_application
 from repro.workloads.sp import sp_application
+
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
 def canonical(payload) -> str:
@@ -106,6 +111,21 @@ class TestGoldenMasters:
         check_golden(
             "table2_sp_optimal.json",
             canonical(payload),
+            goldens_dir,
+            update_goldens,
+        )
+
+    def test_fleet4_reduced(self, goldens_dir, update_goldens):
+        """A 4-node fleet, seed 0, with ``examples/fleetfaults.json``
+        armed: pins the per-invocation path (OMPT, APEX, policy,
+        noise, RAPL) through every node's tunes and progress."""
+        result = FleetSimulation(
+            synthesize_fleet(4, seed=0),
+            load_fault_plan(EXAMPLES_DIR / "fleetfaults.json"),
+        ).run()
+        check_golden(
+            "fleet4_reduced.json",
+            canonical(fleet_result_to_json(result)),
             goldens_dir,
             update_goldens,
         )
