@@ -12,7 +12,7 @@ from repro.apex.introspection import Introspection
 from repro.apex.policy import Policy, PolicyEngine, TimerEventContext
 from repro.apex.profile import ApexProfile, TimerStats
 from repro.apex.tau import TauProfiler, TauRegionProfile
-from repro.apex.timers import Timer, TimerRegistry
+from repro.apex.timers import TimerRegistry
 
 __all__ = [
     "ApexOmptBridge",
@@ -22,7 +22,6 @@ __all__ = [
     "PolicyEngine",
     "TauProfiler",
     "TauRegionProfile",
-    "Timer",
     "TimerEventContext",
     "TimerRegistry",
     "TimerStats",

@@ -124,23 +124,20 @@ class ApexOmptBridge:
             return
         self._charge_overhead()
         name = payload.region_name
+        node = self.runtime.node
         if self.timers.is_running(name):
             # the previous stop event for this region was lost; the
             # stale interval spans an unknown number of executions, so
             # discard it rather than report a garbage measurement.
-            self.timers.stop(name, self.runtime.node.now_s)
+            self.timers.stop(name, node.now_s)
             self.timer_repairs += 1
             bus().emit(
                 "apex.timer_repair", region=name, edge="start"
             )
-        _timer, first = self.timers.start(name, self.runtime.node.now_s)
+        first = self.timers.start(name, node.now_s)
         self._first_by_name[name] = first
         self.policy_engine.timer_started(
-            TimerEventContext(
-                timer_name=name,
-                now_s=self.runtime.node.now_s,
-                first_encounter=first,
-            )
+            TimerEventContext(name, node.now_s, first)
         )
 
     def _on_parallel_end(self, payload: ParallelEndPayload) -> None:
@@ -161,7 +158,8 @@ class ApexOmptBridge:
             self.timer_repairs += 1
             bus().emit("apex.timer_repair", region=name, edge="stop")
             return
-        elapsed = self.timers.stop(name, self.runtime.node.now_s)
+        now_s = self.runtime.node.now_s
+        elapsed = self.timers.stop(name, now_s)
         spike = self._draw("measure.noise")
         if spike is not None:
             # a timer glitch: the measurement is corrupted, the actual
@@ -171,10 +169,10 @@ class ApexOmptBridge:
             bus().emit("apex.noise_spike", region=name)
         self.policy_engine.timer_stopped(
             TimerEventContext(
-                timer_name=name,
-                now_s=self.runtime.node.now_s,
-                first_encounter=self._first_by_name.get(name, False),
-                elapsed_s=elapsed,
-                record=payload.record,
+                name,
+                now_s,
+                self._first_by_name.get(name, False),
+                elapsed,
+                payload.record,
             )
         )

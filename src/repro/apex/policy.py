@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.apex.introspection import Introspection
 from repro.apex.profile import ApexProfile
@@ -21,9 +22,9 @@ from repro.openmp.records import RegionExecutionRecord
 from repro.util.validation import require_positive
 
 
-@dataclass(frozen=True)
-class TimerEventContext:
-    """What a policy sees on a timer event."""
+class TimerEventContext(NamedTuple):
+    """What a policy sees on a timer event (a named tuple: two are
+    built per region invocation)."""
 
     timer_name: str
     now_s: float

@@ -15,44 +15,32 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class Timer:
-    """One running timer instance."""
-
-    name: str
-    start_s: float
-    stopped: bool = False
-
-    def elapsed(self, now_s: float) -> float:
-        return now_s - self.start_s
-
-
-@dataclass
 class TimerRegistry:
-    """Tracks running timers and whether a name was seen before."""
+    """Tracks running timers (their start times) and whether a name was
+    seen before."""
 
-    _running: dict[str, Timer] = field(default_factory=dict)
+    _running: dict[str, float] = field(default_factory=dict)
     _seen: set[str] = field(default_factory=set)
     _starts: int = 0
 
-    def start(self, name: str, now_s: float) -> tuple[Timer, bool]:
-        """Start a timer; returns (timer, first_time_seen)."""
+    def start(self, name: str, now_s: float) -> bool:
+        """Start a timer; returns whether ``name`` is seen the first
+        time."""
         if name in self._running:
             raise RuntimeError(f"timer {name!r} is already running")
         first = name not in self._seen
         self._seen.add(name)
         self._starts += 1
-        timer = Timer(name=name, start_s=now_s)
-        self._running[name] = timer
-        return timer, first
+        self._running[name] = now_s
+        return first
 
     def stop(self, name: str, now_s: float) -> float:
         """Stop a timer and return its elapsed seconds."""
         try:
-            timer = self._running.pop(name)
+            start_s = self._running.pop(name)
         except KeyError:
             raise RuntimeError(f"timer {name!r} is not running") from None
-        timer.stopped = True
-        return timer.elapsed(now_s)
+        return now_s - start_s
 
     def is_running(self, name: str) -> bool:
         return name in self._running

@@ -22,7 +22,7 @@ package provides the simulated equivalents:
 from repro.machine.cache import CacheModel, CacheTraffic
 from repro.machine.frequency import FrequencyModel
 from repro.machine.node import SimulatedNode
-from repro.machine.power import IdleState, PowerModel
+from repro.machine.power import PowerModel
 from repro.machine.rapl import Rapl, RaplDomain
 from repro.machine.spec import CacheSpec, MachineSpec, crill, minotaur
 from repro.machine.topology import Placement, Topology
@@ -32,7 +32,6 @@ __all__ = [
     "CacheSpec",
     "CacheTraffic",
     "FrequencyModel",
-    "IdleState",
     "MachineSpec",
     "Placement",
     "PowerModel",

@@ -57,7 +57,9 @@ class SimulatedNode:
         self.memory = MemoryModel(spec)
         self.msr = MsrFile(spec.sockets)
         self.rapl = Rapl(spec, self.msr, faults=faults)
-        self._now_s = 0.0
+        #: the simulation clock, moved by :meth:`advance` (a plain
+        #: attribute: every region invocation reads it a dozen times)
+        self.now_s = 0.0
         #: userspace-governor frequency ceiling (None = hardware
         #: managed).  The paper's future work: "Currently, we are not
         #: looking into the DVFS strategy.  We plan to include this
@@ -66,28 +68,24 @@ class SimulatedNode:
         # the newest node's simulated clock becomes the telemetry
         # timestamp source (the bus keeps earlier nodes' timelines
         # monotone via its rebind offset).
-        bus().bind_clock(lambda: self._now_s)
+        bus().bind_clock(lambda: self.now_s)
 
     # ------------------------------------------------------------------
     # clock
     # ------------------------------------------------------------------
-    @property
-    def now_s(self) -> float:
-        return self._now_s
-
     def advance(self, seconds: float) -> float:
         """Advance simulated wall time and return the new clock."""
         if not seconds >= 0:
             require_nonnegative("seconds", seconds)
-        self._now_s += seconds
-        return self._now_s
+        self.now_s += seconds
+        return self.now_s
 
     # ------------------------------------------------------------------
     # power control (the harness-facing libmsr surface)
     # ------------------------------------------------------------------
     def set_power_cap(self, cap_w: float | None) -> None:
         """Cap every package at ``cap_w`` (None = uncapped/TDP)."""
-        self.rapl.set_package_cap(cap_w, now_s=self._now_s)
+        self.rapl.set_package_cap(cap_w, now_s=self.now_s)
 
     def settle_after_cap(self) -> None:
         """Sleep the simulated clock past the RAPL settle window - the
@@ -95,7 +93,7 @@ class SimulatedNode:
         self.advance(self.rapl.cap_settle_s)
 
     def effective_cap_w(self, socket: int = 0) -> float | None:
-        return self.rapl.effective_cap_w(socket, self._now_s)
+        return self.rapl.effective_cap_w(socket, self.now_s)
 
     def set_frequency_limit(self, freq_ghz: float | None) -> None:
         """Set a userspace DVFS ceiling (None restores hw-managed)."""
@@ -124,7 +122,7 @@ class SimulatedNode:
         threads = placement.threads_per_socket
         for socket in range(self.spec.sockets):
             n_active = max(1, active[socket])
-            cap = self.rapl.effective_cap_w(socket, self._now_s)
+            cap = self.rapl.effective_cap_w(socket, self.now_s)
             smt_mult = self.power.smt_power_multiplier(
                 max(1.0, threads[socket] / n_active)
             )
@@ -140,7 +138,7 @@ class SimulatedNode:
     # energy accounting (engine-facing)
     # ------------------------------------------------------------------
     def deposit_energy(self, socket: int, joules: float) -> None:
-        self.rapl.deposit_energy(socket, joules, self._now_s)
+        self.rapl.deposit_energy(socket, joules, self.now_s)
 
     def deposit_region_energy(
         self, per_socket: float, dram_per_socket: float
@@ -149,13 +147,13 @@ class SimulatedNode:
         into every package and ``dram_per_socket`` into every DRAM
         domain."""
         self.rapl.deposit_region_energy(
-            per_socket, dram_per_socket, self._now_s
+            per_socket, dram_per_socket, self.now_s
         )
 
     def read_package_energy_j(self) -> float:
         """Node-total package energy (sum over sockets), flushing
         pending deposits first (a synchronous read)."""
-        self.rapl.force_update(self._now_s)
+        self.rapl.force_update(self.now_s)
         return sum(
             self.rapl.read_package_energy_j(s)
             for s in range(self.spec.sockets)
@@ -186,7 +184,7 @@ class SimulatedNode:
     def read_dram_energy_j(self) -> float:
         """Node-total DRAM-domain energy (the future-work memory-power
         accounting)."""
-        self.rapl.force_update(self._now_s)
+        self.rapl.force_update(self.now_s)
         return sum(
             self.rapl.read_dram_energy_j(s)
             for s in range(self.spec.sockets)
@@ -195,9 +193,9 @@ class SimulatedNode:
     def power_view(self, n_threads: int) -> NodePowerView:
         placement = self.topology.place(n_threads)
         return NodePowerView(
-            now_s=self._now_s,
+            now_s=self.now_s,
             caps_w=tuple(
-                self.rapl.effective_cap_w(s, self._now_s)
+                self.rapl.effective_cap_w(s, self.now_s)
                 for s in range(self.spec.sockets)
             ),
             frequencies_ghz=self.frequency_for_team(placement),
@@ -209,8 +207,8 @@ class SimulatedNode:
         fix flaky hardware."""
         self.msr = MsrFile(self.spec.sockets)
         self.rapl = Rapl(self.spec, self.msr, faults=self.faults)
-        self._now_s = 0.0
+        self.now_s = 0.0
         self.frequency_limit_ghz = None
         # pin the telemetry offset: the rebooted clock restarts at zero
         # but the run-wide virtual timeline must not go backwards.
-        bus().bind_clock(lambda: self._now_s)
+        bus().bind_clock(lambda: self.now_s)

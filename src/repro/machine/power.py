@@ -22,7 +22,6 @@ divided between these two"*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from repro.machine.spec import MachineSpec
@@ -32,22 +31,6 @@ from repro.util.validation import require_nonnegative
 
 #: extra dynamic power an SMT sibling adds to an already-active core.
 SMT_POWER_FACTOR = 0.15
-
-
-class IdleState(Enum):
-    """What a core does while it waits at a barrier."""
-
-    SPIN = "spin"
-    SLEEP = "sleep"
-
-
-@dataclass(frozen=True)
-class IdleAccounting:
-    """Energy and effective-wait bookkeeping for one idle interval."""
-
-    state: IdleState
-    energy_j: float
-    transition_s: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +58,8 @@ class FrequencyPower:
 
 
 class PowerModel:
-    """Evaluates package power draw and idle-interval energy."""
+    """Evaluates package power draw and, per frequency, the constants
+    of idle-interval energy."""
 
     def __init__(self, spec: MachineSpec) -> None:
         self.spec = spec
@@ -162,21 +146,4 @@ class PowerModel:
             sleep_w=self.spec.idle_core_sleep_w,
             sleep_after_s=sleep_after,
             transition_s=transition,
-        )
-
-    def idle_interval(
-        self, wait_s: float, freq_ghz: float
-    ) -> IdleAccounting:
-        """Energy burnt by one core waiting ``wait_s`` at a barrier."""
-        require_nonnegative("wait_s", wait_s)
-        at = self.at_frequency(freq_ghz)
-        energy = at.idle_energy_j(wait_s)
-        if wait_s <= at.sleep_after_s:
-            return IdleAccounting(
-                state=IdleState.SPIN, energy_j=energy, transition_s=0.0
-            )
-        return IdleAccounting(
-            state=IdleState.SLEEP,
-            energy_j=energy,
-            transition_s=at.transition_s,
         )

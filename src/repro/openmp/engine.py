@@ -89,10 +89,10 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
     def _caps(self) -> tuple[float | None, ...]:
-        return tuple(
-            self.node.rapl.effective_cap_w(s, self.node.now_s)
-            for s in range(self.node.spec.sockets)
-        )
+        node = self.node
+        cap_of = node.rapl.effective_cap_w
+        now_s = node.now_s
+        return tuple([cap_of(s, now_s) for s in range(node.spec.sockets)])
 
     def execute(
         self, region: RegionProfile, config: OMPConfig
@@ -338,7 +338,10 @@ class ExecutionEngine:
                 n_threads, chunk_weights, per_weight_s
             )
 
-        t_compute = float(finish.max())
+        finish_s = finish.tolist()
+        # Python max/min on a 2-32 element list beat numpy's reduction
+        # overhead; the waits' sum stays numpy (pairwise summation).
+        t_compute = max(finish_s)
         waits = t_compute - finish
         barrier_base = self.costs.barrier_s(n_threads)
         fork_join = self.costs.fork_join_s(n_threads)
@@ -351,7 +354,6 @@ class ExecutionEngine:
         # time is dominated by barrier waits no configuration can fix.
         serial_barrier_s = (n_threads - 1) * serial_s
 
-        finish_s = finish.tolist()
         energy_j = self._energy(
             placement, freqs, finish_s, t_compute, serial_s, time_s
         )
@@ -383,7 +385,8 @@ class ExecutionEngine:
             barrier_wait_total_s=float(waits.sum())
             + n_threads * barrier_base
             + serial_barrier_s,
-            barrier_wait_max_s=float(waits.max()) + barrier_base,
+            # max(t - f) == t - min(f): rounding is monotone
+            barrier_wait_max_s=(t_compute - min(finish_s)) + barrier_base,
             thread_busy_s=tuple(finish_s),
             energy_j=energy_j,
             avg_power_w=energy_j / time_s if time_s > 0 else 0.0,
@@ -446,18 +449,20 @@ class ExecutionEngine:
             share = rates / float(rates.sum())
             dispatch_max = float((share * n_chunks * dispatch).max())
             return finish, dispatch_max
-        avail = [(0.0, tid) for tid in range(n_threads)]
-        heapq.heapify(avail)
-        finish = np.zeros(n_threads)
-        dispatch_time = np.zeros(n_threads)
-        for w in chunk_weights:
-            t, tid = heapq.heappop(avail)
-            duration = dispatch + float(w) * per_weight_s[tid]
-            t_new = t + duration
+        # Python floats in lists: the loop runs once per chunk, and
+        # numpy scalars cost several times a float here.  (time, tid)
+        # pairs are distinct, so the heap yields one fixed order.
+        per_weight = per_weight_s.tolist()
+        avail = [(0.0, tid) for tid in range(n_threads)]  # a heap
+        finish = [0.0] * n_threads
+        dispatch_time = [0.0] * n_threads
+        for w in chunk_weights.tolist():
+            t, tid = avail[0]
+            t_new = t + (dispatch + w * per_weight[tid])
             finish[tid] = t_new
             dispatch_time[tid] += dispatch
-            heapq.heappush(avail, (t_new, tid))
-        return finish, float(dispatch_time.max())
+            heapq.heapreplace(avail, (t_new, tid))
+        return np.array(finish), max(dispatch_time)
 
     # ------------------------------------------------------------------
     def _energy_team(self, placement) -> _EnergyTeam:

@@ -6,7 +6,8 @@ parallel-region identifiers, team sizes and timing payloads.  APEX
 starts a timer on ``PARALLEL_BEGIN`` and stops it on ``PARALLEL_END``;
 the TAU-style profiling of Figure 9 additionally consumes the
 ``IMPLICIT_TASK`` / ``WORK_LOOP`` / ``SYNC_REGION_BARRIER`` aggregate
-events.
+events.  Payloads are named tuples: two are built per region
+invocation, and a tuple costs a fraction of a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.openmp.records import RegionExecutionRecord
 from repro.telemetry.bus import bus
@@ -43,8 +45,7 @@ _DISPATCH_COUNTERS = {
 }
 
 
-@dataclass(frozen=True)
-class ParallelBeginPayload:
+class ParallelBeginPayload(NamedTuple):
     """Fired on entry to a parallel region, before execution."""
 
     region_name: str
@@ -53,8 +54,7 @@ class ParallelBeginPayload:
     timestamp_s: float
 
 
-@dataclass(frozen=True)
-class ParallelEndPayload:
+class ParallelEndPayload(NamedTuple):
     """Fired on region exit with the full execution record."""
 
     region_name: str
@@ -63,8 +63,7 @@ class ParallelEndPayload:
     record: RegionExecutionRecord
 
 
-@dataclass(frozen=True)
-class DurationPayload:
+class DurationPayload(NamedTuple):
     """Aggregate duration events (implicit task / loop / barrier)."""
 
     region_name: str

@@ -42,6 +42,28 @@ class RegionExecutionRecord:
         if self.energy_j < 0:
             raise ValueError(f"energy_j must be >= 0, got {self.energy_j}")
 
+    def scaled(self, factor: float) -> RegionExecutionRecord:
+        """This record with run-to-run noise ``factor`` applied to its
+        times and energies (serial prologue and fork/join stay put).
+
+        Built once per noisy region invocation, so it copies the field
+        dict instead of running the frozen ``__init__`` and
+        ``__post_init__``: ``factor >= 1`` keeps both invariants.
+        """
+        noisy = object.__new__(RegionExecutionRecord)
+        fields = noisy.__dict__
+        fields.update(self.__dict__)
+        fields["time_s"] = self.time_s * factor
+        fields["loop_time_s"] = self.loop_time_s * factor
+        fields["barrier_wait_total_s"] = self.barrier_wait_total_s * factor
+        fields["barrier_wait_max_s"] = self.barrier_wait_max_s * factor
+        fields["thread_busy_s"] = tuple(
+            [t * factor for t in self.thread_busy_s]
+        )
+        fields["energy_j"] = self.energy_j * factor
+        fields["dram_energy_j"] = self.dram_energy_j * factor
+        return noisy
+
     @property
     def n_threads(self) -> int:
         return self.config.n_threads

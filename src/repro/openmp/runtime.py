@@ -178,20 +178,20 @@ class OpenMPRuntime:
         callback and affect this very execution - exactly how ARCS
         applies per-region settings.
         """
-        ompt_active = self.ompt.has_tool()
+        ompt = self.ompt
+        name = region.name
+        ompt_active = ompt.has_tool()
         parallel_id = 0
         if ompt_active:
-            parallel_id = self.ompt.new_parallel_id()
-            self.ompt.dispatch(
+            parallel_id = ompt.new_parallel_id()
+            ompt.dispatch(
                 OmptEvent.PARALLEL_BEGIN,
                 ParallelBeginPayload(
-                    region_name=region.name,
-                    parallel_id=parallel_id,
-                    requested_team_size=self._config.n_threads,
-                    timestamp_s=self.node.now_s,
+                    name, parallel_id, self._config.n_threads,
+                    self.node.now_s,
                 ),
             )
-        hints = self._probe_hints.pop(region.name, None)
+        hints = self._probe_hints.pop(name, None)
         if hints is not None:
             # warm the engine's record caches for the hinted candidates
             # in one vectorized pass; execute() below then sequences
@@ -205,7 +205,7 @@ class OpenMPRuntime:
             record = self._apply_noise(record)
             tb.span_finish(
                 "omp.region", begin, seq,
-                region=region.name,
+                region=name,
                 config=config.label(),
                 time_s=record.time_s,
                 energy_j=record.energy_j,
@@ -216,18 +216,15 @@ class OpenMPRuntime:
             record = self.engine.execute(region, config)
             record = self._apply_noise(record)
         if ompt_active:
-            if self.ompt.has_callbacks(_AGGREGATE_EVENTS):
-                self._dispatch_aggregates(region.name, parallel_id, record)
+            if ompt.has_callbacks(_AGGREGATE_EVENTS):
+                self._dispatch_aggregates(name, parallel_id, record)
             elif tb.enabled:
                 # no tool listens: only the bus counters move
-                self.ompt.count_dispatches(_AGGREGATE_EVENTS)
-            self.ompt.dispatch(
+                ompt.count_dispatches(_AGGREGATE_EVENTS)
+            ompt.dispatch(
                 OmptEvent.PARALLEL_END,
                 ParallelEndPayload(
-                    region_name=region.name,
-                    parallel_id=parallel_id,
-                    timestamp_s=self.node.now_s,
-                    record=record,
+                    name, parallel_id, self.node.now_s, record
                 ),
             )
         return record
@@ -244,10 +241,10 @@ class OpenMPRuntime:
         self._call_index += 1
         if self.noise_sigma == 0.0:
             return record
-        factor = float(max(
+        factor = max(
             1.0 + self._noise.normal(self._call_index, self.noise_sigma),
             1.0,
-        ))
+        )
         if factor == 1.0:
             return record
         delta_t = record.time_s * (factor - 1.0)
@@ -257,28 +254,7 @@ class OpenMPRuntime:
             record.energy_j * (factor - 1.0) / sockets,
             record.dram_energy_j * (factor - 1.0) / sockets,
         )
-        return RegionExecutionRecord(
-            region_name=record.region_name,
-            config=record.config,
-            time_s=record.time_s * factor,
-            loop_time_s=record.loop_time_s * factor,
-            serial_time_s=record.serial_time_s,
-            fork_join_s=record.fork_join_s,
-            barrier_wait_total_s=record.barrier_wait_total_s * factor,
-            barrier_wait_max_s=record.barrier_wait_max_s * factor,
-            thread_busy_s=tuple(
-                t * factor for t in record.thread_busy_s
-            ),
-            energy_j=record.energy_j * factor,
-            avg_power_w=record.avg_power_w,
-            frequencies_ghz=record.frequencies_ghz,
-            l1_miss_rate=record.l1_miss_rate,
-            l2_miss_rate=record.l2_miss_rate,
-            l3_miss_rate=record.l3_miss_rate,
-            dram_bytes=record.dram_bytes,
-            dispatch_overhead_s=record.dispatch_overhead_s,
-            dram_energy_j=record.dram_energy_j * factor,
-        )
+        return record.scaled(factor)
 
     def _dispatch_aggregates(
         self, name: str, parallel_id: int, record: RegionExecutionRecord

@@ -54,24 +54,31 @@ _PCG_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[tuple]:
-    """The (xor, multiply) constant pairs of ``n`` successive hashmix
-    calls.  SeedSequence's running hash constant never depends on the
-    data, so every lane shares them."""
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, ...]:
+    """The xor and multiply constants of ``n`` successive hashmix
+    calls, as two ``(n, 1)`` columns.  SeedSequence's running hash
+    constant never depends on the data, so every lane shares them."""
     consts = [init]
     for _ in range(n):
         consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return [
-        (np.uint32(consts[i]), np.uint32(consts[i + 1])) for i in range(n)
-    ]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
 
 
 _HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS)
+#: per pool word, the other words it is mixed into, in numpy's order
+_MIX_INTO = [
+    [dst for dst in range(_POOL_SIZE) if dst != src]
+    for src in range(_POOL_SIZE)
+]
+#: the pool word each state word hashes
+_STATE_FROM = [i % _POOL_SIZE for i in range(_STATE_WORDS)]
 
 
-def _hashmix(value: np.ndarray, consts: tuple) -> np.ndarray:
-    xor, mult = consts
+def _hashmix(
+    value: np.ndarray, xor: np.ndarray, mult: np.ndarray
+) -> np.ndarray:
     value = (value ^ xor) * mult
     return value ^ (value >> _XSHIFT)
 
@@ -88,25 +95,25 @@ def seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
 
     A 64-bit seed is at most two 32-bit entropy words, and the missing
     words of the four-word pool hash like a zero word, so every seed
-    takes the same path and the mixing runs on uint32 lanes.
+    takes the same path and the mixing runs on uint32 lanes.  Each
+    step works on the whole pool at once: a word is mixed into the
+    three others with three hash constants in one broadcast.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    xor_a, mult_a = _HASH_A
     with np.errstate(over="ignore"):
-        zero = np.zeros(seeds.shape, dtype=np.uint32)
-        words = [seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-        words += [zero] * (_POOL_SIZE - len(words))
-        consts = iter(_HASH_A)
-        pool = [_hashmix(word, next(consts)) for word in words]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(
-                        pool[dst], _hashmix(pool[src], next(consts))
-                    )
-        return np.stack([
-            _hashmix(pool[i % _POOL_SIZE], _HASH_B[i])
-            for i in range(_STATE_WORDS)
-        ])
+        pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+        pool[0] = seeds.astype(np.uint32)
+        pool[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+        pool = _hashmix(pool, xor_a[:_POOL_SIZE], mult_a[:_POOL_SIZE])
+        at = _POOL_SIZE
+        for src, dst in enumerate(_MIX_INTO):
+            consts = slice(at, at + len(dst))
+            at += len(dst)
+            pool[dst] = _mix(
+                pool[dst], _hashmix(pool[src], xor_a[consts], mult_a[consts])
+            )
+        return _hashmix(pool[_STATE_FROM], *_HASH_B)
 
 
 #: first and largest number of indices one refill of an
@@ -124,9 +131,10 @@ class IndexedStream:
     any index in any order.  The derivation is the same: SHA-256 (the
     fixed prefix hashed once), numpy's ``SeedSequence`` (run lane-wise
     over a block of upcoming indices), PCG64's seeding step (Python
-    integers), then numpy's own ``Generator.normal`` on one reused
-    PCG64 set to that state.  An index outside the current block
-    starts a new block there.
+    integers), then numpy's own standard normal draw, scaled as
+    ``Generator.normal`` scales it, on one reused PCG64 set to that
+    state.  An index outside the current block starts a new block
+    there.
     """
 
     def __init__(self, root: int, *keys: object) -> None:
@@ -161,7 +169,9 @@ class IndexedStream:
         lcg = self._lcg
         lcg["state"], lcg["inc"] = self._states[offset]
         self._bit_generator.state = self._pcg_state
-        return self._generator.normal(0.0, scale)
+        # what numpy's C ``random_normal`` computes for loc 0.0, without
+        # ``Generator.normal``'s argument checks and broadcasting
+        return 0.0 + scale * self._generator.standard_normal()
 
     def _fill(self, start: int) -> None:
         n = self._block_size

@@ -169,11 +169,12 @@ def run_application(
     calls = 0
     for _step in range(app.timesteps):
         for rc in app.step_sequence:
+            region = rc.region
+            bucket = acc.get(region.name)
+            if bucket is None:  # rc.calls >= 1: the region runs now
+                bucket = acc[region.name] = _RegionAccumulator()
             for _ in range(rc.calls):
-                bucket = acc.setdefault(
-                    rc.region.name, _RegionAccumulator()
-                )
-                bucket.add(execute(rc.region))
+                bucket.add(execute(region))
                 calls += 1
                 if observer is not None:
                     observer(calls)

@@ -21,11 +21,9 @@ class TestTimerRegistry:
 
     def test_first_encounter_flag(self):
         reg = TimerRegistry()
-        _, first = reg.start("t", 0.0)
-        assert first
+        assert reg.start("t", 0.0) is True
         reg.stop("t", 1.0)
-        _, first = reg.start("t", 2.0)
-        assert not first
+        assert reg.start("t", 2.0) is False
 
     def test_double_start_rejected(self):
         reg = TimerRegistry()

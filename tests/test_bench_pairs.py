@@ -1,5 +1,5 @@
-"""Tests for the verdict of ``tools/bench_pairs.py`` (paired parent/change
-benchmark runs)."""
+"""Tests for ``tools/bench_pairs.py`` (paired parent/change benchmark
+runs): the verdict, and what it reads from and prints about the runs."""
 
 from __future__ import annotations
 
@@ -109,3 +109,45 @@ def test_a_run_without_metrics_makes_them_invalid(tmp_path, monkeypatch):
     )
     assert out["failed"] == {"parent": 0, "change": 2}
     assert out["verdicts"]["wall_s"]["label"] == "invalid"
+
+
+def test_run_once_counts_iterations_from_the_record_line(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'record': {'walls_s': [1.0, 0.9, 0.8]}}))\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n"
+    )
+    result = bench_pairs.run_once(tmp_path, "w", 0, 1)
+    assert result == {
+        "correct": True, "failed": 0, "metrics": {}, "iterations": 3
+    }
+
+
+def test_peak_rss_line_shows_median_iterations(
+    tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}],
+    }))
+
+    def run(iterations, rss):
+        return {"correct": True, "failed": 0, "iterations": iterations,
+                "metrics": {"wall_s": {"value": 1.0},
+                            "peak_rss_mb": {"value": rss}}}
+
+    # pair 1 runs parent then change, pair 2 change then parent
+    results = iter([run(10, 60.0), run(13, 62.0),
+                    run(15, 63.0), run(12, 61.0)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: next(results))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(
+        [str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rss = next(line for line in lines if line.startswith("  peak_rss_mb"))
+    assert rss.endswith("iterations 11 / 14")
+    wall = next(line for line in lines if line.startswith("  wall_s"))
+    assert "iterations" not in wall

@@ -215,7 +215,7 @@ class TestMemoEquivalence:
             node = SimulatedNode(spec)
             node.rapl.set_package_cap(cap, node.now_s)
             node.rapl.force_update(node.now_s + 10.0)
-            node._now_s = node.now_s + 10.0  # let the cap settle
+            node.now_s += 10.0  # let the cap settle
             engine = ExecutionEngine(node)
             engine.prefetch(region, (config,))
             records[cap] = engine.execute(region, config)

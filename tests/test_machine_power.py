@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.machine.power import IdleState, PowerModel
+from repro.machine.power import PowerModel
 from repro.machine.spec import crill
 
 
@@ -52,30 +52,36 @@ class TestInstantaneousPower:
 
 
 class TestIdleIntervals:
+    """Barrier waits through the per-frequency constants the engine
+    integrates with (``at_frequency(f).idle_energy_j``)."""
+
     def test_short_wait_spins(self, power):
-        acc = power.idle_interval(10e-6, 2.4)
-        assert acc.state is IdleState.SPIN
-        assert acc.transition_s == 0.0
+        at = power.at_frequency(2.4)
+        wait = 10e-6
+        assert wait <= at.sleep_after_s
+        assert at.idle_energy_j(wait) == wait * at.spin_w
 
     def test_long_wait_sleeps(self, power):
-        acc = power.idle_interval(10e-3, 2.4)
-        assert acc.state is IdleState.SLEEP
-        assert acc.transition_s > 0.0
+        at = power.at_frequency(2.4)
+        wait = 10e-3
+        assert wait > at.sleep_after_s
+        assert at.transition_s > 0.0
+        assert at.idle_energy_j(wait) == (
+            at.transition_s * at.spin_w
+            + (wait - at.transition_s) * at.sleep_w
+        )
 
     def test_sleep_saves_energy_for_long_waits(self, power):
         wait = 50e-3
-        sleeping = power.idle_interval(wait, 2.4).energy_j
+        sleeping = power.at_frequency(2.4).idle_energy_j(wait)
         spin_w = crill().idle_spin_fraction * power.core_dynamic_w(2.4)
         assert sleeping < wait * spin_w
 
     def test_zero_wait_zero_energy(self, power):
-        assert power.idle_interval(0.0, 2.4).energy_j == 0.0
-
-    def test_negative_wait_rejected(self, power):
-        with pytest.raises(ValueError):
-            power.idle_interval(-1.0, 2.4)
+        assert power.at_frequency(2.4).idle_energy_j(0.0) == 0.0
 
     def test_energy_monotone_in_wait(self, power):
+        at = power.at_frequency(2.4)
         waits = [1e-6, 1e-4, 1e-3, 1e-2, 1e-1]
-        energies = [power.idle_interval(w, 2.4).energy_j for w in waits]
+        energies = [at.idle_energy_j(w) for w in waits]
         assert all(b >= a for a, b in zip(energies, energies[1:]))

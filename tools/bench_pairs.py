@@ -20,6 +20,11 @@ how many pairs the change won, and the verdict:
   that crashed counts as one failed operation), or some run lacks the
   metric, so the runs cannot be paired.
 
+Next to ``peak_rss_mb`` it prints each side's median iteration count
+(parent / change): perfbench's timeline grows with every iteration, so
+a faster program that runs more iterations in the same seconds peaks
+higher without costing more memory per iteration.
+
 Usage, from the root of either checkout::
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload fleet-16 \\
@@ -109,7 +114,9 @@ def _fmt(quartiles: tuple[float, float, float]) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``; its result object."""
+    """One untraced benchmark run in ``checkout``; its result object,
+    with ``iterations`` added from the run record's ``walls_s`` (the
+    line above the result) when the run printed one."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -117,7 +124,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if done.returncode != 0:
         return {"correct": False, "error": done.stderr.strip()[-500:]}
-    return json.loads(done.stdout.splitlines()[-1])
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    if len(lines) >= 2:
+        record = json.loads(lines[-2]).get("record", {})
+        if "walls_s" in record:
+            result["iterations"] = len(record["walls_s"])
+    return result
+
+
+def _median_iterations(side_runs: list[dict]) -> str:
+    """Median iteration count of one side's runs, ``-`` if none
+    reported it."""
+    counts = [r["iterations"] for r in side_runs if "iterations" in r]
+    return f"{statistics.median(counts):g}" if counts else "-"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -171,8 +191,13 @@ def main(argv: list[str] | None = None) -> int:
         v = verdict(values["parent"], values["change"], metric["better"],
                     metric["bound"], (failed["parent"], failed["change"]))
         verdicts[name] = asdict(v)
+        suffix = ""
+        if name == "peak_rss_mb":
+            suffix = (f"  iterations {_median_iterations(runs['parent'])}"
+                      f" / {_median_iterations(runs['change'])}")
         print(f"  {name:<12} parent {_fmt(v.parent)}  change {_fmt(v.change)}"
-              f"  wins {v.wins}/{v.pairs}  {v.worse_by:+.1%}  {v.label}")
+              f"  wins {v.wins}/{v.pairs}  {v.worse_by:+.1%}  {v.label}"
+              f"{suffix}")
     print(f"  failed ops: parent {failed['parent']}, "
           f"change {failed['change']}")
     if bad_runs:
