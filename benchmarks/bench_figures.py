@@ -7,7 +7,7 @@ registry (:mod:`repro.analysis.registry`) and writes its
 :func:`~repro.analysis.registry.write_figure` - the same spec and the
 same writer behind ``repro figures NAME --formats txt,json``, so the
 two produce identical bytes.  Sweep-backed entries run serially on the
-``results/.cache`` result cache, as ``repro figures`` does by default.
+``results/.cache`` store, as ``repro figures`` does by default.
 
 It then checks the paper's claims about the data: ``CLAIMS`` maps a
 registry name to a function of the generated data holding plain
@@ -26,7 +26,7 @@ from repro.analysis.registry import (
     generate_figure,
     write_figure,
 )
-from repro.experiments.cache import ExperimentCache
+from repro.experiments.journal import SweepJournal
 from repro.experiments.figures import SP_MAJOR_REGIONS
 
 #: every entry the repo can regenerate on its own.
@@ -189,7 +189,7 @@ def test_claims_name_registered_figures():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_figure(name, benchmark, results_dir):
-    options = GenOptions(cache=ExperimentCache(results_dir / ".cache"))
+    options = GenOptions(cache=SweepJournal.in_dir(results_dir / ".cache"))
     artifact = benchmark.pedantic(
         generate_figure, args=(name, options), rounds=1, iterations=1
     )

@@ -23,8 +23,9 @@ import json
 import os
 import time
 
-from repro.experiments.cache import ExperimentCache, result_to_json
+from repro.experiments.cache import result_to_json
 from repro.experiments.figures import power_sweep
+from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import CRILL_POWER_LEVELS
 from repro.machine.spec import crill
@@ -55,23 +56,22 @@ def _run_comparison(cache_root) -> dict:
     )
     t_serial = time.perf_counter() - t0
 
-    cold_cache = ExperimentCache(cache_root)
     t0 = time.perf_counter()
     parallel = power_sweep(
         app, spec, CRILL_POWER_LEVELS, repeats=REPEATS,
         executor=ParallelSweepExecutor(
-            max_workers=WORKERS, cache=cold_cache
+            max_workers=WORKERS, journal=SweepJournal.in_dir(cache_root)
         ),
     )
     t_parallel = time.perf_counter() - t0
 
-    warm_cache = ExperimentCache(cache_root)
+    warm_executor = ParallelSweepExecutor(
+        max_workers=WORKERS, journal=SweepJournal.in_dir(cache_root)
+    )
     t0 = time.perf_counter()
     warm = power_sweep(
         app, spec, CRILL_POWER_LEVELS, repeats=REPEATS,
-        executor=ParallelSweepExecutor(
-            max_workers=WORKERS, cache=warm_cache
-        ),
+        executor=warm_executor,
     )
     t_warm = time.perf_counter() - t0
 
@@ -82,8 +82,8 @@ def _run_comparison(cache_root) -> dict:
         "serial_blob": _encode(serial),
         "parallel_blob": _encode(parallel),
         "warm_blob": _encode(warm),
-        "warm_hits": warm_cache.stats.hits,
-        "warm_misses": warm_cache.stats.misses,
+        "warm_hits": warm_executor.hits,
+        "warm_misses": warm_executor.misses,
         "cells": len(serial.results),
     }
 

@@ -8,8 +8,7 @@ converters below build them from each of the repo's result sources:
 
 * in-memory generator outputs (:mod:`repro.experiments.figures` /
   ``tables`` dataclasses),
-* summarized :class:`~repro.experiments.runner.StrategyRunResult`\\ s
-  (and therefore the result cache),
+* summarized :class:`~repro.experiments.runner.StrategyRunResult`\\ s,
 * crash-safe sweep journals (:mod:`repro.experiments.journal`),
 * fleet journals / fleet results (:mod:`repro.fleet`),
 * telemetry JSONL directories (:mod:`repro.telemetry`).

@@ -40,7 +40,7 @@ from repro.analysis.records import (
     table1_records,
     table2_records,
 )
-from repro.experiments.cache import ExperimentCache
+from repro.experiments.journal import SweepJournal
 from repro.experiments.figures import (
     fig1_motivation,
     fig3_sp_features,
@@ -96,7 +96,8 @@ class GenOptions:
 
     repeats: int = 3
     workers: int = 1
-    cache: ExperimentCache | None = None
+    #: the store that memoizes sweep cells (``None`` = recompute)
+    cache: SweepJournal | None = None
     #: history directory for "external"-cost entries (bench_trend);
     #: they read pre-existing artifacts instead of generating data.
     bench_dir: str | None = None
@@ -150,7 +151,7 @@ def _sweep_spec(
             caps,
             repeats=options.repeats,
             executor=ParallelSweepExecutor(
-                max_workers=options.workers, cache=options.cache
+                max_workers=options.workers, journal=options.cache
             ),
         )
 

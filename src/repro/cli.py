@@ -35,12 +35,11 @@ from repro.core.capschedule import (
     load_cap_schedule,
 )
 from repro.core.history import HistoryStore
-from repro.experiments.cache import DEFAULT_CACHE_DIR, ExperimentCache
+from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.experiments.figures import power_sweep
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.reporting import render_sweep
-from repro.experiments.resumable import CheckpointError
 from repro.experiments.runner import (
     CRILL_POWER_LEVELS,
     STRATEGIES,
@@ -121,13 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dynamic power-cap schedule (see examples/"
                           "capschedule.json); changes the cap mid-run")
     run.add_argument("--checkpoint", default=None, metavar="PATH",
-                     help="write a resumable checkpoint before the "
-                          "first repeat and after every completed "
-                          "repeat; a resume re-runs the interrupted "
-                          "repeat (arcs-online only)")
-    run.add_argument("--resume-from", default=None, metavar="PATH",
-                     help="resume an interrupted arcs-online run from "
-                          "a checkpoint written by --checkpoint")
+                     help="log every completed repeat to PATH; "
+                          "running again with the same PATH resumes "
+                          "at the first missing repeat (arcs-online "
+                          "only)")
     run.add_argument("--telemetry", default=None, metavar="DIR",
                      help="record the run's full event/metric stream "
                           "as telemetry.jsonl plus a Perfetto-loadable "
@@ -173,25 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--no-cache", action="store_true",
-        help="recompute every cell instead of using the result cache",
+        help="recompute every cell and record nothing",
     )
     sweep.add_argument(
         "--cache-dir", default=str(DEFAULT_CACHE_DIR),
-        help=f"result-cache directory (default: {DEFAULT_CACHE_DIR})",
+        help="store of completed cells (a crash-safe cells.jsonl) "
+             "and shared tuned histories; a killed sweep resumes by "
+             f"running again (default: {DEFAULT_CACHE_DIR})",
     )
     sweep.add_argument(
         "--faults", default=None, metavar="PLAN.JSON",
         help="fault-injection plan applied to every sweep cell",
-    )
-    sweep.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="crash-safe journal recording each completed cell; "
-             "pair with --resume to continue an interrupted sweep",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already in --journal instead of re-running "
-             "them (requires --journal)",
     )
     sweep.add_argument(
         "--telemetry", default=None, metavar="DIR",
@@ -315,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "--no-cache", action="store_true",
-        help="recompute sweep cells instead of using the result cache",
+        help="recompute sweep cells and record nothing",
     )
     figures.add_argument(
         "--cache-dir", default=str(DEFAULT_CACHE_DIR),
-        help=f"result-cache directory (default: {DEFAULT_CACHE_DIR})",
+        help=f"store of completed cells (default: {DEFAULT_CACHE_DIR})",
     )
     figures.add_argument(
         "--bench-dir", default=None, metavar="DIR",
@@ -363,11 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument(
         "--cache-dir", action="append", default=[], metavar="DIR",
-        help="result-cache directory to fold (repeatable)",
-    )
-    fit.add_argument(
-        "--journal", action="append", default=[], metavar="PATH",
-        help="sweep journal to fold (repeatable; read-only)",
+        help="store of completed cells to fold (repeatable; "
+             "read-only)",
     )
     fit.add_argument(
         "--telemetry", action="append", default=[], metavar="DIR",
@@ -617,7 +602,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
             return run_strategy(
                 args.strategy, app, setup, history=history,
                 checkpoint_path=args.checkpoint,
-                resume_from=args.resume_from,
                 source=source,
                 surrogate=surrogate_tuning,
             )
@@ -642,14 +626,11 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 result = _execute()
         else:
             result = _execute()
-    except CheckpointError as exc:
-        # missing or damaged checkpoint: actionable, not a bug
-        raise SystemExit(f"error: {exc}") from exc
-    except RunAbortedError as exc:
+    except (RunAbortedError, OSError) as exc:
+        # an aborted run, or a --checkpoint path that cannot be read
         raise SystemExit(f"error: {exc}") from exc
     except ValueError as exc:
-        # e.g. --checkpoint with a non-online strategy, or a
-        # --resume-from checkpoint another experiment wrote
+        # e.g. --checkpoint with a non-online strategy
         raise SystemExit(f"error: {exc}") from exc
     cap = "TDP" if args.cap is None else f"{args.cap:g}W"
     lines = [
@@ -696,19 +677,13 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         raise SystemExit(
             f"error: --workers must be >= 1, got {args.workers}"
         )
-    if args.resume and args.journal is None:
-        raise SystemExit("error: --resume requires --journal")
-    cache = (
-        None if args.no_cache else ExperimentCache(args.cache_dir)
+    journal = (
+        None if args.no_cache else SweepJournal.in_dir(args.cache_dir)
     )
     fault_plan = _load_faults(args.faults)
     executor = ParallelSweepExecutor(
         max_workers=args.workers,
-        cache=cache,
-        journal=(
-            SweepJournal(args.journal) if args.journal else None
-        ),
-        resume=args.resume,
+        journal=journal,
         faults=make_injector(fault_plan),
     )
     def _run_sweep():
@@ -729,7 +704,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 sweep = _run_sweep()
         else:
             sweep = _run_sweep()
-    except LogMismatchError as exc:
+    except OSError as exc:
+        # e.g. a --cache-dir that is a file
         raise SystemExit(f"error: {exc}") from exc
     lines = [
         render_sweep(
@@ -746,10 +722,10 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     if degradations:
         lines.append("degradations:")
         lines.extend(f"  - {note}" for note in degradations)
-    if cache is not None:
+    if journal is not None:
         lines.append(
-            f"[cache] {cache.stats.hits} hit(s), "
-            f"{cache.stats.misses} miss(es) under {cache.root}"
+            f"[cache] {executor.hits} hit(s), "
+            f"{executor.misses} miss(es) under {journal.path.parent}"
         )
     return "\n".join(lines)
 
@@ -851,7 +827,7 @@ def _cmd_figures(args: argparse.Namespace) -> str:
         repeats=args.repeats,
         workers=args.workers,
         cache=(
-            None if args.no_cache else ExperimentCache(args.cache_dir)
+            None if args.no_cache else SweepJournal.in_dir(args.cache_dir)
         ),
         bench_dir=args.bench_dir,
     )
@@ -929,7 +905,6 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
         SurrogateError,
         fit_surrogate,
         fold_cache_dir,
-        fold_journal,
         fold_telemetry_dir,
         load_model,
         save_corpus,
@@ -944,10 +919,10 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
         return _render_fit_report(model.report)
 
     # fit
-    if not (args.cache_dir or args.journal or args.telemetry):
+    if not (args.cache_dir or args.telemetry):
         raise SystemExit(
             "error: nothing to fold - pass at least one of "
-            "--cache-dir / --journal / --telemetry"
+            "--cache-dir / --telemetry"
         )
     if args.dim is not None and args.dim < 1:
         raise SystemExit(
@@ -958,8 +933,6 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
     records = []
     for directory in args.cache_dir:
         records.extend(fold_cache_dir(directory, stats, faults))
-    for path in args.journal:
-        records.extend(fold_journal(path, stats, faults))
     for directory in args.telemetry:
         records.extend(fold_telemetry_dir(directory, stats, faults))
     if args.corpus:

@@ -8,13 +8,12 @@ Minotaur).  :mod:`repro.experiments.figures` and
 and table in Section V; :mod:`repro.experiments.reporting` renders them
 as paper-style text tables.  :mod:`repro.experiments.parallel` fans
 sweep cells out over a process pool and
-:mod:`repro.experiments.cache` memoizes their results on disk.
+:mod:`repro.experiments.journal` memoizes their results on disk.
 """
 
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
     DEFAULT_CACHE_DIR,
-    ExperimentCache,
     experiment_digest,
 )
 from repro.experiments.metrics import improvement_pct, normalized_series
@@ -40,7 +39,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CRILL_POWER_LEVELS",
     "DEFAULT_CACHE_DIR",
-    "ExperimentCache",
     "ExperimentSetup",
     "ParallelSweepExecutor",
     "StrategyRunResult",

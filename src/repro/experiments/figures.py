@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.config import search_space_for
 from repro.core.history import HistoryStore
+from repro.experiments.cache import history_path
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.faults.plan import FaultPlan
 from repro.experiments.runner import (
@@ -254,11 +255,12 @@ def power_sweep(
     :class:`ExperimentSetup`.  ``executor`` runs them - the default is
     strictly serial and in-process; pass a
     :class:`ParallelSweepExecutor` with ``max_workers`` to fan cells
-    out over a process pool, or with a ``cache`` to memoize completed
-    cells (and the exhaustive tuning history of the offline cells) on
-    disk.  ``telemetry_dir`` makes every cell write its own
-    ``task-<run_id>.jsonl`` trace there (telemetry never changes what
-    is measured, only what is recorded).  ``service`` points offline
+    out over a process pool, or with a ``journal`` to memoize completed
+    cells (and, under ``history/`` beside it, the exhaustive tuning
+    history of the offline cells) on disk.  ``telemetry_dir`` makes
+    every cell write its own ``task-<run_id>.jsonl`` trace there
+    (telemetry never changes what is measured, only what is
+    recorded).  ``service`` points offline
     cells at a ``repro serve`` daemon (``host:port``): tuned configs
     are fetched from / published to it through the degradation-ordered
     ConfigSource chain, and - like telemetry - using it never changes
@@ -266,7 +268,7 @@ def power_sweep(
     """
     if executor is None:
         executor = ParallelSweepExecutor()
-    cache = executor.cache
+    journal = executor.journal
 
     tasks: list[SweepTask] = []
     labels: list[str] = []
@@ -280,8 +282,10 @@ def power_sweep(
             seed=seed,
             fault_plan=fault_plan,
         )
-        history_path = (
-            None if cache is None else str(cache.history_path(app, setup))
+        shared_history = (
+            None
+            if journal is None
+            else str(history_path(journal.path.parent, app, setup))
         )
         tasks.extend(
             SweepTask(
@@ -289,7 +293,7 @@ def power_sweep(
                 setup=setup,
                 strategy=strategy,
                 history_path=(
-                    history_path if strategy == "arcs-offline" else None
+                    shared_history if strategy == "arcs-offline" else None
                 ),
                 telemetry_dir=telemetry_dir,
                 service=service,

@@ -1,45 +1,66 @@
-"""Crash-safe sweep journal: resume interrupted sweeps cell by cell.
+"""The one store of completed measurements.
 
-The result cache (:mod:`repro.experiments.cache`) already memoizes
-completed cells, but it is optional, shared across sweeps, and keyed
-only by experiment digest - it cannot say *which sweep* a result
-belongs to or whether a sweep finished.  The journal is the
-sweep-scoped complement: a :class:`~repro.util.jsonlog.JsonLog` whose
-header identifies the sweep (task-grid fingerprint, seeds, fault
-plans) and where the executor records each completed cell (digest +
-full-fidelity result) the moment it finishes, fsynced so a ``kill -9``
-never loses a completed cell.
+A sweep cell, and one repeat of an ARCS-Online run, are pure
+functions of their measurement context (see
+:func:`~repro.experiments.serialize.measurement_context`), so a
+completed one can be replayed instead of measured again.  The
+:class:`SweepJournal` is that memo: a content-addressed
+:class:`~repro.util.jsonlog.JsonLog` holding two kinds of record,
+each keyed by a digest of its context:
 
-On resume (``ParallelSweepExecutor(..., resume=True)``) completed
-cells are served from the journal and only the remainder executes.
-Because results round-trip through the same serializer as the cache
-(floats via ``repr``), a killed-and-resumed sweep produces output
-byte-identical to an uninterrupted run at the same seed.  Every line
-is checksummed, so a torn tail or a flipped bit is quarantined and
-that cell re-runs instead of being replayed.
+* a **cell** - ``digest`` (:func:`~repro.experiments.cache.
+  experiment_digest`), ``task``, the full-fidelity ``result`` and, when
+  the cell ran with telemetry, its ``run_id`` and ``trace`` handoff;
+* an **ARCS-Online repeat** - ``digest`` of the run's checkpoint key,
+  ``repeat`` index, and that repeat's ``run``, ``configs``,
+  ``overhead``, ``cap_changes``, ``fallbacks`` and ``dropouts``.
+
+Each record is appended and fsynced the moment its measurement
+finishes, so a ``kill -9`` never loses a completed one.  There is no
+header: a changed setup digests differently and misses by
+construction, and re-running against the same log is the resume.
+Results round-trip through the same serializer everywhere (floats via
+``repr``), so a killed-and-resumed sweep or run produces output
+byte-identical to an uninterrupted one.  Every line is checksummed:
+loading for use quarantines a torn tail or a flipped bit, and that
+cell or repeat re-runs instead of being replayed.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from repro.experiments.cache import result_from_json, result_to_json
 from repro.experiments.runner import StrategyRunResult
 from repro.util.jsonlog import JsonLog
 
-#: bump when the journal record layout changes; a journal of another
-#: schema has no valid header, so ``--resume`` refuses it.
+#: bump when the record layout changes; lines of another schema are
+#: never replayed and are quarantined on load.
 JOURNAL_SCHEMA_VERSION = 2
+
+#: the journal's file name inside a store directory (``--cache-dir``).
+CELLS_FILE = "cells.jsonl"
 
 
 class SweepJournal(JsonLog):
-    """Append-only completed-cell log for one sweep invocation."""
+    """Append-only log of completed cells and ARCS-Online repeats."""
 
     schema = JOURNAL_SCHEMA_VERSION
     name = "sweep"
 
+    @classmethod
+    def in_dir(cls, directory: str | Path) -> "SweepJournal":
+        """The journal of the store directory ``directory``."""
+        return cls(Path(directory) / CELLS_FILE)
+
     @staticmethod
     def cells(records: list[dict]) -> dict[str, StrategyRunResult]:
         """Completed cells keyed by experiment digest."""
-        return {r["digest"]: result_from_json(r["result"]) for r in records}
+        return {
+            r["digest"]: result_from_json(r["result"])
+            for r in records
+            if "result" in r
+        }
 
     def load(self) -> dict[str, StrategyRunResult]:
         """Completed cells keyed by digest, after repairing damage."""
@@ -48,23 +69,23 @@ class SweepJournal(JsonLog):
     def run_ids(self) -> dict[str, str]:
         """Telemetry run-ids of journaled cells, keyed by digest.
 
-        Lets ``sweep --resume`` (and ``repro trace``) associate each
+        Lets a re-run sweep (and ``repro trace``) associate each
         completed cell with its ``task-<run_id>.jsonl`` trace file.
         Cells journaled without telemetry are absent.
         """
-        return self._field_by_digest("run_id")
+        return self.field_by_digest(self.scan().records, "run_id")
 
     def traceparents(self) -> dict[str, str]:
         """Trace-context handoffs of journaled cells, keyed by digest.
 
-        A resumed sweep re-announces each reused cell with the
+        A re-run sweep re-announces each reused cell with the
         traceparent the original sweep assigned it, so the stitched
         trace tree stays whole across the kill/resume boundary.
         """
-        return self._field_by_digest("trace")
+        return self.field_by_digest(self.scan().records, "trace")
 
-    def _field_by_digest(self, field: str) -> dict[str, str]:
-        records = self.scan().records
+    @staticmethod
+    def field_by_digest(records: list[dict], field: str) -> dict[str, str]:
         return {r["digest"]: r[field] for r in records if field in r}
 
     def append(
@@ -94,3 +115,19 @@ class SweepJournal(JsonLog):
         if trace is not None:
             record["trace"] = trace
         self.append_records([record])
+
+    def append_repeat(self, digest: str, repeat: int, state: dict) -> None:
+        """Record one completed ARCS-Online repeat durably."""
+        self.append_records([{"digest": digest, "repeat": repeat, **state}])
+
+    def repeats(self, digest: str) -> list[dict]:
+        """The completed repeats ``0..k-1`` of the run keyed ``digest``
+        (the contiguous prefix), after repairing damage."""
+        found: dict[int, dict] = {}
+        for record in self.load_records():
+            if record.get("digest") == digest and "repeat" in record:
+                found.setdefault(record["repeat"], record)
+        prefix: list[dict] = []
+        while len(prefix) in found:
+            prefix.append(found[len(prefix)])
+        return prefix

@@ -8,20 +8,20 @@ every invocation.  This module supplies the two missing pieces:
   a :class:`concurrent.futures.ProcessPoolExecutor` with a per-task
   timeout and bounded retry, falling back to exact in-process serial
   execution at ``max_workers=1`` (the determinism-test path);
-* each cell is checked against an :class:`~repro.experiments.cache.
-  ExperimentCache` first, and offline cells share one on-disk tuned
+* each cell is looked up in a :class:`~repro.experiments.journal.
+  SweepJournal` first and appended to it when it completes, and
+  offline cells share one on-disk tuned
   :class:`~repro.core.history.HistoryStore` per (app, machine, cap) so
   exhaustive tuning runs once, not once per caller.
 
 Every task is a pure function of its :class:`SweepTask` spec, so
 results are bit-identical whether computed inline, in a worker
-process, or replayed from the cache.
+process, or replayed from the journal.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.history import CorruptHistoryError, HistoryStore
-from repro.experiments.cache import ExperimentCache, experiment_digest
+from repro.experiments.cache import experiment_digest, result_from_json
 from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import (
     ExperimentSetup,
@@ -45,7 +45,7 @@ from repro.experiments.runner import (
     run_strategy,
 )
 from repro.faults.inject import FaultInjector
-from repro.faults.plan import DEFAULT_HANG_S, plan_fingerprint
+from repro.faults.plan import DEFAULT_HANG_S
 from repro.obs.trace import TraceContext, child_context, root_context
 from repro.telemetry.bus import bus, telemetry_session
 from repro.telemetry.sinks import JsonlSink
@@ -111,7 +111,7 @@ class SweepTask:
 
     app: Application
     #: the measurement context; with ``app`` and ``strategy`` it is
-    #: everything the cache, journal and run-id digests read.
+    #: everything the journal and run-id digests read.
     setup: ExperimentSetup
     strategy: str
     #: path of the shared tuned history (offline cells only); ``None``
@@ -119,14 +119,14 @@ class SweepTask:
     history_path: str | None = None
     #: directory receiving this cell's telemetry JSONL (``None`` =
     #: telemetry off).  Deliberately *not* part of ``setup``, so
-    #: turning tracing on never invalidates cache/journal digests.
+    #: turning tracing on never invalidates journal digests.
     telemetry_dir: str | None = None
     #: ``host:port`` of a tuning-service daemon consulted (and
     #: published to) by offline cells through the ConfigSource chain.
     #: Like ``telemetry_dir``, deliberately *not* part of ``setup``:
     #: the service is a transparent knowledge cache, so pointing a
-    #: sweep at one must never invalidate existing cache/journal
-    #: digests (results are byte-identical either way).
+    #: sweep at one must never invalidate existing journal digests
+    #: (results are byte-identical either way).
     service: str | None = None
     #: traceparent handed off by the parent sweep's trace context; the
     #: worker adopts it as the root of everything the cell emits, so
@@ -143,7 +143,7 @@ class SweepTask:
 
     def run_id(self) -> str:
         """Deterministic telemetry run identifier for this cell (a
-        prefix of the experiment digest, so it also keys the cache and
+        prefix of the experiment digest, so it also keys the
         journal)."""
         return task_run_id(self)
 
@@ -291,7 +291,7 @@ class SweepTaskError(RuntimeError):
 
 
 class ParallelSweepExecutor:
-    """Run sweep cells concurrently, memoizing through a cache.
+    """Run sweep cells concurrently, memoizing through a journal.
 
     Parameters
     ----------
@@ -299,9 +299,6 @@ class ParallelSweepExecutor:
         Pool size.  ``1`` (the default) executes every task inline in
         the calling process - no pool, no pickling - which is the
         reference path determinism tests compare against.
-    cache:
-        Optional :class:`ExperimentCache`; hits skip execution
-        entirely and completed cells are written back.
     timeout_s:
         Per-task wall-clock budget (pool mode only; inline execution
         cannot be interrupted).  A timed-out task counts as a failed
@@ -317,16 +314,13 @@ class ParallelSweepExecutor:
         Must be picklable (module-level) when ``max_workers > 1``;
         injectable for fault-injection tests.
     journal:
-        Optional :class:`~repro.experiments.journal.SweepJournal`.
-        Every completed cell is appended durably; with ``resume=True``
-        cells already journaled are served from it instead of
-        re-running (a killed sweep picks up where it stopped).
-        The journal's header rule (:meth:`~repro.util.jsonlog.
-        JsonLog.open`) applies: without ``resume``, or onto a missing
-        or empty journal, it starts over; a journal another sweep
-        wrote raises :class:`~repro.util.jsonlog.LogMismatchError`.
-    resume:
-        Serve completed cells from the journal (requires ``journal``).
+        Optional :class:`~repro.experiments.journal.SweepJournal`, read
+        once per :meth:`run` (repairing any damage).  A cell whose
+        experiment digest it holds is a hit, served without running;
+        every other cell is appended durably by this process when it
+        completes, so a killed sweep resumes by running again against
+        the same journal.  Offline cells keep their shared tuned
+        history under ``history/`` beside it.
     faults:
         Optional :class:`~repro.faults.inject.FaultInjector` consulted
         once per task submission at the ``sweep.worker`` site; a
@@ -340,12 +334,10 @@ class ParallelSweepExecutor:
     def __init__(
         self,
         max_workers: int = 1,
-        cache: ExperimentCache | None = None,
         timeout_s: float | None = None,
         retries: int = 1,
         task_fn: Callable[[SweepTask], StrategyRunResult] = run_sweep_task,
         journal: SweepJournal | None = None,
-        resume: bool = False,
         faults: FaultInjector | None = None,
     ) -> None:
         if max_workers < 1:
@@ -354,59 +346,51 @@ class ParallelSweepExecutor:
             )
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if resume and journal is None:
-            raise ValueError("resume=True needs a journal")
         self.max_workers = max_workers
-        self.cache = cache
         self.timeout_s = timeout_s
         self.retries = retries
         self.task_fn = task_fn
         self.journal = journal
-        self.resume = resume
         self.faults = faults
+        #: cells served from the journal / executed, across runs
+        self.hits = 0
+        self.misses = 0
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[SweepTask]) -> list[StrategyRunResult]:
         """Execute ``tasks``; the result list is aligned with input
         order regardless of completion order."""
         tasks = list(tasks)
-        journaled: dict[str, StrategyRunResult] = {}
-        if self.journal is not None:
-            journaled = self.journal.cells(
-                self.journal.open(self._header(tasks), resume=self.resume)
-            )
+        records = [] if self.journal is None else self.journal.load_records()
+        # decoded only on a hit: a store outgrows any one sweep
+        journaled = {r["digest"]: r for r in records if "result" in r}
 
         tb = bus()
-        journaled_traces: dict[str, str] = {}
-        if self.journal is not None and self.resume and tb.enabled:
-            journaled_traces = self.journal.traceparents()
+        handoffs: dict[str, str] = {}
+        if tb.enabled:
+            handoffs = SweepJournal.field_by_digest(records, "trace")
         results: list[StrategyRunResult | None] = [None] * len(tasks)
         pending: list[int] = []
         for i, task in enumerate(tasks):
-            from_journal = journaled.get(self._digest(task))
-            done = from_journal
-            if done is None:
-                done = self._cache_get(task)
-            if done is not None:
-                results[i] = done
-                if tb.enabled:
-                    source = (
-                        "journal" if from_journal is not None else "cache"
-                    )
-                    tb.count(f"sweep.tasks_{source}")
-                    reused_attrs: dict = {}
-                    handoff = journaled_traces.get(self._digest(task))
-                    if handoff is not None:
-                        reused_attrs["trace_handoff"] = handoff
-                    tb.emit(
-                        "sweep.task_reused",
-                        task=task.label,
-                        run_id=task.run_id(),
-                        source=source,
-                        **reused_attrs,
-                    )
-            else:
+            digest = self._digest(task)
+            record = journaled.get(digest)
+            if record is None:
+                self.misses += 1
                 pending.append(i)
+                continue
+            self.hits += 1
+            results[i] = result_from_json(record["result"])
+            if tb.enabled:
+                tb.count("sweep.tasks_reused")
+                reused_attrs: dict = {}
+                if digest in handoffs:
+                    reused_attrs["trace_handoff"] = handoffs[digest]
+                tb.emit(
+                    "sweep.task_reused",
+                    task=task.label,
+                    run_id=task.run_id(),
+                    **reused_attrs,
+                )
 
         if not pending:
             return [r for r in results if r is not None]
@@ -437,39 +421,8 @@ class ParallelSweepExecutor:
     def _digest(task: SweepTask) -> str:
         return experiment_digest(task.app, task.setup, task.strategy)
 
-    @classmethod
-    def _header(cls, tasks: Sequence[SweepTask]) -> dict:
-        """Sweep-identity record written to (and checked against) the
-        journal: task-grid fingerprint, seeds and fault-plan hashes."""
-        digests = sorted(cls._digest(task) for task in tasks)
-        sweep = hashlib.sha256(
-            "\n".join(digests).encode()
-        ).hexdigest()[:16]
-        fault_prints = sorted(
-            {
-                fp
-                for fp in (
-                    plan_fingerprint(task.setup.fault_plan)
-                    for task in tasks
-                )
-                if fp is not None
-            }
-        )
-        return {
-            "sweep": sweep,
-            "seeds": sorted({task.setup.seed for task in tasks}),
-            "faults": fault_prints,
-        }
-
-    def _cache_get(self, task: SweepTask) -> StrategyRunResult | None:
-        if self.cache is None:
-            return None
-        return self.cache.get(task.app, task.setup, task.strategy)
-
     def _record(self, task: SweepTask, result: StrategyRunResult) -> None:
-        """Persist one completed cell everywhere it is memoized."""
-        if self.cache is not None:
-            self.cache.put(task.app, task.setup, task.strategy, result)
+        """Persist one completed cell in the journal."""
         if self.journal is not None:
             self.journal.append(
                 self._digest(task),

@@ -23,13 +23,8 @@ from repro.core.capschedule import CapSchedule, CapScheduleApplier
 from repro.core.controller import ARCS
 from repro.core.history import HistoryStore
 from repro.core.overhead import OverheadReport
-from repro.experiments.resumable import (
-    RunCheckpoint,
-    SimulatedKill,
-    load_run_checkpoint,
-    write_run_checkpoint,
-)
 from repro.experiments.serialize import (
+    context_digest,
     measurement_context,
     overhead_from_json,
     overhead_to_json,
@@ -46,6 +41,7 @@ from repro.openmp.types import OMPConfig
 from repro.service.source import ConfigSource, config_key
 from repro.supervise import RegionSupervisor, SuperviseConfig
 from repro.obs.trace import traced_span
+from repro.telemetry.bus import bus
 from repro.util.retry import RetryPolicy
 from repro.util.rng import derive_seed
 from repro.util.stats import summarize_runs
@@ -300,13 +296,28 @@ def run_default(
     )
 
 
+class SimulatedKill(RuntimeError):
+    """Raised by :func:`run_arcs_online`'s ``kill_after`` test hook once
+    the target invocation completes, simulating a process killed at
+    that exact point; the repeats completed before it stay in the
+    checkpoint log.  The chaos soak and the checkpoint tests catch it
+    and resume by running again against that log."""
+
+    def __init__(self, measurements: int, path: Path) -> None:
+        self.measurements = measurements
+        self.path = path
+        super().__init__(
+            f"simulated kill after {measurements} completed "
+            f"measurement(s); checkpoint left at {path}"
+        )
+
+
 def run_arcs_online(
     app: Application,
     setup: ExperimentSetup,
     selective_threshold_s: float | None = None,
     *,
     checkpoint_path: str | Path | None = None,
-    resume_from: str | Path | None = None,
     supervise: SuperviseConfig | None = None,
     kill_after: int | None = None,
 ) -> StrategyRunResult:
@@ -316,34 +327,29 @@ def run_arcs_online(
     mode: regions whose first measured call is shorter than the
     threshold are never tuned (used by the selective-tuning ablation).
 
-    ``checkpoint_path`` persists a resumable checkpoint before the
-    first repeat and after every completed repeat; ``resume_from``
-    restores one (and keeps checkpointing to the same file unless
-    ``checkpoint_path`` overrides it) and re-runs the interrupted
-    repeat from its start.  A resumed run finishes byte-identical to
-    an uninterrupted run at the same seed.  Region execution goes
-    through a :class:`RegionSupervisor` (``supervise`` overrides its
+    ``checkpoint_path`` names a :class:`~repro.experiments.journal.
+    SweepJournal` that receives one fsynced record per completed
+    repeat, keyed by the run's measurement context and
+    ``selective_threshold_s``.  A run against a log already holding
+    repeats ``0..k-1`` of the same run replays them and runs from
+    repeat ``k``: a repeat is a pure function of (application, setup,
+    repeat index), so a resumed run finishes byte-identical to an
+    uninterrupted one.  Region execution goes through a
+    :class:`RegionSupervisor` (``supervise`` overrides its
     deadlines/retry budget); ``kill_after`` is a test hook raising
     :class:`SimulatedKill` once that many region invocations have
-    completed globally, leaving the last boundary checkpoint on disk.
+    completed globally.
     """
     if kill_after is not None and checkpoint_path is None:
         raise ValueError(
             "kill_after requires checkpoint_path (the simulated kill "
             "must leave a checkpoint to resume from)"
         )
-    if resume_from is not None and checkpoint_path is None:
-        checkpoint_path = resume_from
     strategy_label = (
         "arcs-online"
         if selective_threshold_s is None
         else "arcs-online-selective"
     )
-    # everything that must match for a checkpoint to be resumable
-    meta = {
-        **measurement_context(app, setup, strategy_label),
-        "selective_threshold_s": selective_threshold_s,
-    }
     cap_aware = bool(setup.cap_schedule)
 
     results: list[AppRunResult] = []
@@ -353,45 +359,33 @@ def run_arcs_online(
     bridge_notes: list[str] = []
     dropouts = 0
     cap_changes: list[str] = []
-    next_run = 0
 
-    if resume_from is not None:
-        blob = load_run_checkpoint(resume_from)
-        RunCheckpoint(resume_from).check_header(meta)
-        results = [run_from_json(r) for r in blob["runs"]]
-        fallbacks = {
-            str(k): str(v) for k, v in blob["fallbacks"].items()
-        }
-        dropouts = int(blob["dropouts"])
-        configs = {
-            str(k): OMPConfig.from_json(v)
-            for k, v in blob["configs"].items()
-        }
-        overhead = overhead_from_json(blob["overhead"])
-        cap_changes = [str(c) for c in blob["cap_changes"]]
-        next_run = int(blob["next_run"])
+    log = None
+    if checkpoint_path is not None:
+        # the journal imports the runner's result types
+        from repro.experiments.cache import CACHE_SCHEMA_VERSION
+        from repro.experiments.journal import SweepJournal
 
-    def _write_checkpoint(boundary: int) -> None:
-        if checkpoint_path is None:
-            return
-        write_run_checkpoint(
-            checkpoint_path,
-            meta,
+        log = SweepJournal(checkpoint_path)
+        key = context_digest(
+            CACHE_SCHEMA_VERSION,
             {
-                "runs": [run_to_json(x) for x in results],
-                "fallbacks": dict(fallbacks),
-                "dropouts": dropouts,
-                "configs": {
-                    name: cfg.to_json() for name, cfg in configs.items()
-                },
-                "overhead": overhead_to_json(overhead),
-                "cap_changes": list(cap_changes),
-                "next_run": boundary,
+                **measurement_context(app, setup, strategy_label),
+                "selective_threshold_s": selective_threshold_s,
             },
         )
+        # fold the completed repeats exactly as the loop below does
+        for done in log.repeats(key):
+            results.append(run_from_json(done["run"]))
+            configs = {
+                k: OMPConfig.from_json(v) for k, v in done["configs"].items()
+            }
+            overhead = overhead_from_json(done["overhead"])
+            cap_changes = list(done["cap_changes"])
+            fallbacks.update(done["fallbacks"])
+            dropouts += done["dropouts"]
 
-    _write_checkpoint(next_run)
-    for r in range(next_run, setup.repeats):
+    for r in range(len(results), setup.repeats):
         runtime = fresh_runtime(setup, run_index=r)
         arcs = ARCS(
             runtime,
@@ -428,12 +422,32 @@ def run_arcs_online(
             )
         configs = arcs.chosen_configs()
         overhead = arcs.overhead_report()
-        fallbacks.update(arcs.degradations())
+        repeat_fallbacks = arcs.degradations()
+        fallbacks.update(repeat_fallbacks)
         dropouts += arcs.bridge.timer_dropouts
         if applier is not None:
             cap_changes = list(applier.log)
+        if log is not None:
+            log.append_repeat(
+                key,
+                r,
+                {
+                    "run": run_to_json(results[-1]),
+                    "configs": {
+                        name: cfg.to_json()
+                        for name, cfg in configs.items()
+                    },
+                    "overhead": overhead_to_json(overhead),
+                    "cap_changes": list(cap_changes),
+                    "fallbacks": dict(repeat_fallbacks),
+                    "dropouts": arcs.bridge.timer_dropouts,
+                },
+            )
+            tb = bus()
+            if tb.enabled:
+                tb.count("checkpoint.writes")
+                tb.emit("checkpoint.write", repeat=r)
         arcs.finalize()
-        _write_checkpoint(r + 1)
 
     if dropouts:
         bridge_notes.append(
@@ -616,7 +630,6 @@ def run_strategy(
     history: HistoryStore | None = None,
     *,
     checkpoint_path: str | Path | None = None,
-    resume_from: str | Path | None = None,
     supervise: SuperviseConfig | None = None,
     source: ConfigSource | None = None,
     surrogate: "SurrogateTuning | None" = None,
@@ -641,7 +654,6 @@ def run_strategy(
                 app,
                 setup,
                 checkpoint_path=checkpoint_path,
-                resume_from=resume_from,
                 supervise=supervise,
             )
         if name not in STRATEGIES:
@@ -649,7 +661,7 @@ def run_strategy(
                 f"unknown strategy {name!r}; known: "
                 f"{', '.join(STRATEGIES)}"
             )
-        if checkpoint_path is not None or resume_from is not None:
+        if checkpoint_path is not None:
             raise ValueError(
                 f"checkpointing is only supported for arcs-online, not "
                 f"{name!r}"

@@ -9,12 +9,11 @@ survive a dump/load cycle bit-for-bit - the property every
 byte-identical-resume guarantee in this repo leans on).
 
 They used to live inside :mod:`repro.experiments.cache`; they are a
-leaf module now so that the run-checkpoint layer (which the runner
-imports) can share them without creating an import cycle through the
-cache (which imports the runner).  :func:`tuning_context` and
-:func:`measurement_context` are here for the same reason: the result
-cache, the shared tuned history, the service knowledge key and the run
-checkpoint header all read them.
+leaf module now so that the runner can share them without creating an
+import cycle through the cache (which imports the runner).
+:func:`tuning_context` and :func:`measurement_context` are here for
+the same reason: the journal's cell and repeat keys, the shared tuned
+history and the service knowledge key all read them.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ def measurement_context(
     the measurement-only inputs - strategy, repeats, the online search
     budget and any cap schedule (omitted when the cap is static, so
     static-cap keys are the ones written before cap schedules
-    existed).  The result cache digests it; a run checkpoint's header
-    is it."""
+    existed).  A sweep cell's journal key digests it; an ARCS-Online
+    repeat's key digests it plus the selective threshold."""
     context = {
         **tuning_context(app, setup),
         "strategy": strategy,

@@ -77,9 +77,9 @@ def config_key(app: "Application", setup: "ExperimentSetup") -> ConfigKey:
     """Key for the tuned knowledge of one (app, machine, cap) context.
 
     One field list, two schema stamps: the digest covers the same
-    tuning context as the result cache's shared-history key, stamped
-    with :data:`KNOWLEDGE_SCHEMA_VERSION` so the service payload schema
-    can evolve without invalidating the local result cache.
+    tuning context as a store's shared-history key, stamped with
+    :data:`KNOWLEDGE_SCHEMA_VERSION` so the service payload schema can
+    evolve without invalidating local stores.
     """
     from repro.experiments.serialize import context_digest, tuning_context
 

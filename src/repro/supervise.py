@@ -15,9 +15,9 @@ measurement fails or stalls:
    degradation is recorded on the existing
    ``AppRunResult.degraded`` channel so it surfaces in CLI output;
 3. **abort** - a region that *still* fails after being pinned aborts
-   the run with :class:`RunAbortedError`.  The last run checkpoint
-   (written at the previous repeat boundary) remains valid, so the
-   operator can resume after fixing the environment.
+   the run with :class:`RunAbortedError`.  The repeats already in the
+   run's checkpoint log stay valid, so the operator can resume after
+   fixing the environment.
 
 With no fault injector and no deadline the supervisor is a pass-through:
 it adds zero simulated time and zero RNG draws, so supervised clean
@@ -48,8 +48,9 @@ class RunAbortedError(RuntimeError):
         self.flight: tuple[dict, ...] = bus().flight.dump()
         super().__init__(
             f"run aborted: region {region!r} kept failing after being "
-            f"pinned to the default configuration ({reason}); the last "
-            "checkpoint remains valid for --resume-from"
+            f"pinned to the default configuration ({reason}); the "
+            "repeats already in the --checkpoint log are kept, and "
+            "running again with the same --checkpoint resumes"
         )
 
 

@@ -1,11 +1,11 @@
 """Learned surrogate search: corpus-trained config ranking.
 
 The package turns the measurement corpus the repo accumulates anyway -
-the result cache, crash-safe sweep journals, telemetry JSONL - into a
+the sweep journal of completed measurements, telemetry JSONL - into a
 cheap learned performance model, then uses it to *rank* the Table I
 space so a tuning run measures only the most promising configurations:
 
-* :mod:`repro.surrogate.corpus` - fold cached results / journals /
+* :mod:`repro.surrogate.corpus` - fold journaled results and
   telemetry into tidy ``(region features, config, cap) -> time``
   training records with schema stamps and provenance;
 * :mod:`repro.surrogate.model`  - feature-hashed ridge regression
@@ -29,7 +29,6 @@ from repro.surrogate.corpus import (
     CorpusStats,
     TrainingRecord,
     fold_cache_dir,
-    fold_journal,
     fold_telemetry_dir,
     load_corpus,
     save_corpus,
@@ -56,7 +55,6 @@ __all__ = [
     "CorpusStats",
     "TrainingRecord",
     "fold_cache_dir",
-    "fold_journal",
     "fold_telemetry_dir",
     "load_corpus",
     "save_corpus",

@@ -1,17 +1,14 @@
 """Training-corpus extraction for the learned surrogate.
 
-Folds the three measurement stores the repo accumulates anyway into
+Folds the two measurement sources the repo accumulates anyway into
 one tidy list of :class:`TrainingRecord`\\ s - flat scalar-cell rows in
 the :mod:`repro.analysis.records` convention, each stamped with its
 schema version and provenance:
 
-* the result cache (``results/.cache/<digest>.jsonl``): measured
-  ARCS-Offline cells carry per-region totals *and* the single
-  configuration each region replayed, so time-per-call is attributable
-  to one config;
-* crash-safe sweep journals: the same full-fidelity results, one log
-  line per completed cell.  Cache entries and journals are both
-  :class:`~repro.util.jsonlog.JsonLog` files folded by one scan: lines
+* the store of completed measurements (``--cache-dir DIR``: the sweep
+  journal ``DIR/cells.jsonl``): measured ARCS-Offline cells carry
+  per-region totals *and* the single configuration each region
+  replayed, so time-per-call is attributable to one config.  Lines
   whose schema version does not match are **skipped and counted** - a
   mixed-version journal (written across an upgrade) must never abort
   a fold halfway through;
@@ -30,17 +27,15 @@ the Nelder-Mead fallback) instead of crashing it.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.experiments.cache import CacheEntryLog, result_from_json
+from repro.experiments.cache import result_from_json
 from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import StrategyRunResult
 from repro.faults.inject import FaultInjector
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.util.atomicio import atomic_write_text
-from repro.util.jsonlog import JsonLog
 
 #: bump when the training-record layout changes; mismatched corpus
 #: files refuse to load (the corpus is cheap to re-extract).
@@ -72,8 +67,8 @@ class TrainingRecord:
     chunk: int | None
     time_s: float            #: per-call region seconds (the objective)
     energy_j: float | None   #: per-call joules; None when unmeasured
-    source: str              #: ``cache`` / ``journal`` / ``telemetry``
-    provenance: str          #: file stem / digest the sample came from
+    source: str              #: ``cache`` / ``telemetry``
+    provenance: str          #: digest / file stem the sample came from
 
     def config(self) -> OMPConfig:
         return OMPConfig(
@@ -111,7 +106,7 @@ class CorpusStats:
 
     records: int = 0
     files: int = 0
-    #: journal/cache entries stamped with a different schema version -
+    #: journal lines stamped with a different schema version -
     #: skipped, not raised (the mixed-version-journal regression).
     skipped_schema: int = 0
     #: torn / corrupt / unparsable entries (including injected
@@ -157,7 +152,7 @@ def _draw_damage(
 
 
 # ---------------------------------------------------------------------------
-# folding StrategyRunResults (cache + journal)
+# folding StrategyRunResults (the journal)
 # ---------------------------------------------------------------------------
 def fold_result(
     result: StrategyRunResult,
@@ -213,85 +208,51 @@ def fold_result(
     return records
 
 
-def _fold_log(
-    log: JsonLog,
-    source: str,
-    provenance: Callable[[str], str],
-    stats: CorpusStats,
-    faults: FaultInjector | None,
-) -> list[TrainingRecord]:
-    """Fold the cells of one cache entry or sweep journal.
-
-    Read-only (:meth:`~repro.util.jsonlog.JsonLog.scan`, never the
-    repairing load): a fold must never mutate a store's own recovery
-    state.  Damaged and foreign-schema lines are skipped and counted,
-    never raised mid-fold, so damaged logs and logs spanning a schema
-    upgrade still contribute every line they can.  ``provenance`` maps
-    a cell's digest to its records' provenance tag.
-    """
-    stats.files += 1
-    scan = log.scan()
-    stats.skipped_schema += scan.foreign
-    if scan.damaged:
-        stats.skipped_damaged += scan.damaged
-        stats.note(
-            f"torn/corrupt {source} line in {log.path.name}; skipped"
-        )
-    records: list[TrainingRecord] = []
-    for blob in scan.records:
-        try:
-            result = result_from_json(blob["result"])
-            digest = str(blob["digest"])
-        except (KeyError, TypeError, ValueError, IndexError):
-            stats.skipped_damaged += 1
-            stats.note(
-                f"corrupt {source} record in {log.path.name}; skipped"
-            )
-            continue
-        records.extend(
-            fold_result(
-                result,
-                source=source,
-                provenance=provenance(digest),
-                stats=stats,
-                faults=faults,
-            )
-        )
-    return records
-
-
 def fold_cache_dir(
     directory: str | Path,
     stats: CorpusStats,
     faults: FaultInjector | None = None,
 ) -> list[TrainingRecord]:
-    """Fold every verified entry of a result-cache directory."""
-    return [
-        record
-        for path in sorted(Path(directory).glob("*.jsonl"))
-        for record in _fold_log(
-            CacheEntryLog(path), "cache", str, stats, faults
-        )
-    ]
+    """Fold the completed cells of the store under ``directory``.
 
-
-def fold_journal(
-    path: str | Path,
-    stats: CorpusStats,
-    faults: FaultInjector | None = None,
-) -> list[TrainingRecord]:
-    """Fold the completed cells of one sweep journal (read-only)."""
-    path = Path(path)
-    if not path.is_file():
-        stats.note(f"unreadable journal {path.name}; skipped")
+    Read-only (:meth:`~repro.util.jsonlog.JsonLog.scan`, never the
+    repairing load): a fold must never mutate a store's own recovery
+    state.  Damaged and foreign-schema lines are skipped and counted,
+    never raised mid-fold, so damaged logs and logs spanning a schema
+    upgrade still contribute every line they can.  ARCS-Online repeat
+    records are not cells and are passed over.
+    """
+    log = SweepJournal.in_dir(directory)
+    if not log.path.is_file():
+        stats.note(f"no journal at {log.path}; skipped")
         return []
-    return _fold_log(
-        SweepJournal(path),
-        "journal",
-        lambda digest: f"{path.stem}:{digest[:16]}",
-        stats,
-        faults,
-    )
+    stats.files += 1
+    scan = log.scan()
+    stats.skipped_schema += scan.foreign
+    if scan.damaged:
+        stats.skipped_damaged += scan.damaged
+        stats.note(f"torn/corrupt cache line in {log.path}; skipped")
+    records: list[TrainingRecord] = []
+    for blob in scan.records:
+        if "repeat" in blob:
+            continue
+        try:
+            result = result_from_json(blob["result"])
+            digest = str(blob["digest"])
+        except (KeyError, TypeError, ValueError, IndexError):
+            stats.skipped_damaged += 1
+            stats.note(f"corrupt cache record in {log.path}; skipped")
+            continue
+        records.extend(
+            fold_result(
+                result,
+                source="cache",
+                provenance=digest,
+                stats=stats,
+                faults=faults,
+            )
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Atomic file writes shared by every persistence layer.
 
 :meth:`repro.util.jsonlog.JsonLog.rewrite` (which every whole-file
-store - result-cache entries, the tuned history, run checkpoints,
-compacted store shards - goes through) and the figure, bench and
-surrogate artifact writers all need the same guarantee: a reader (or
-a resumed run) must never observe a half-written file, even if the
-writer is ``kill -9``'d mid-write.  The standard POSIX recipe - write
-to a temp file in the same directory, then ``os.replace`` over the
-target - provides it; this module is the one implementation of that
-recipe.
+store - the tuned history, compacted store shards - goes through) and
+the figure, bench and surrogate artifact writers all need the same
+guarantee: a reader (or a resumed run) must never observe a
+half-written file, even if the writer is ``kill -9``'d mid-write.  The
+standard POSIX recipe - write to a temp file in the same directory,
+then ``os.replace`` over the target - provides it; this module is the
+one implementation of that recipe.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Append-only, checksummed JSONL logs: the one format for durable state.
 
 Every store that must outlive the process keeps its state in this one
-file format: the sweep journal, the fleet journal, the tuning
-service's store shards, the result cache's entries, the tuned ARCS
-history and the ARCS-Online run checkpoint.  This module owns the
-format; those six are thin typed adapters over :class:`JsonLog`.
+file format: the sweep journal (completed sweep cells and ARCS-Online
+repeats), the fleet journal, the tuning service's store shards and
+the tuned ARCS history.  This module owns the format; those four are
+thin typed adapters over :class:`JsonLog`.
 
 Every line has one fixed layout (pure ASCII)::
 
@@ -26,15 +26,16 @@ overwritten, kept for post-mortem) and the lines that verify are
 rewritten atomically, byte for byte.  A torn tail is just one more
 damaged line, and damage mid-file keeps the lines on both sides.
 
-A log that identifies a run starts with a header.  :meth:`JsonLog.open`
-applies one rule to it: a fresh run, or a resume onto a missing or
-empty log, starts the log over with its header; a resume onto a
-non-empty log whose header is absent or differs raises
+A log that identifies a run (the fleet journal) starts with a header.
+:meth:`JsonLog.open` applies one rule to it: a fresh run, or a resume
+onto a missing or empty log, starts the log over with its header; a
+resume onto a non-empty log whose header is absent or differs raises
 :class:`LogMismatchError` naming the mismatched keys, and leaves the
 file untouched.
 
-A store rewritten whole never repairs: its reader rejects the file on
-any damaged or foreign line (DESIGN.md section 8, "Whole-file rule").
+A store rewritten whole (the tuned history) never repairs: its reader
+rejects the file on any damaged or foreign line (DESIGN.md section 8,
+"Whole-file rule").
 """
 
 from __future__ import annotations

@@ -43,9 +43,15 @@ class TestParser:
             ["run", "--no-batch"],
             ["sweep", "--no-batch"],
             ["surrogate", "fit", "--out", "model.json", "--mlp"],
+            ["run", "--resume-from", "ck.jsonl"],
+            ["sweep", "--journal", "sweep.jsonl"],
+            ["sweep", "--resume"],
+            ["surrogate", "fit", "--out", "model.json",
+             "--journal", "sweep.jsonl"],
         ],
         ids=["fleet-concurrency", "run-no-batch", "sweep-no-batch",
-             "surrogate-mlp"],
+             "surrogate-mlp", "run-resume-from", "sweep-journal",
+             "sweep-resume", "surrogate-journal"],
     )
     def test_removed_options_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -274,7 +280,6 @@ class TestRobustnessFlags:
         args = build_parser().parse_args(["run"])
         assert args.cap_schedule is None
         assert args.checkpoint is None
-        assert args.resume_from is None
 
     def test_missing_fault_plan_is_friendly(self):
         with pytest.raises(SystemExit) as err:
@@ -323,14 +328,25 @@ class TestRobustnessFlags:
                   "--checkpoint", str(tmp_path / "ck.json")])
         assert "arcs-online" in str(err.value.code)
 
-    def test_resume_from_missing_checkpoint_is_friendly(self):
+    def test_resume_from_missing_checkpoint_is_friendly(
+        self, tmp_path, capsys
+    ):
+        # a missing log is an empty one: the run starts at repeat 0
+        base = ["run", "--app", "synthetic",
+                "--strategy", "arcs-online", "--repeats", "1"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        ck = tmp_path / "missing.json"
+        assert main(base + ["--checkpoint", str(ck)]) == 0
+        assert capsys.readouterr().out == plain
+        # one that cannot be read is a one-line error naming it
+        unreadable = tmp_path / "ck.d"
+        unreadable.mkdir()
         with pytest.raises(SystemExit) as err:
-            main(["run", "--app", "synthetic",
-                  "--strategy", "arcs-online",
-                  "--resume-from", "missing.json"])
+            main(base + ["--checkpoint", str(unreadable)])
         message = str(err.value.code)
         assert message.startswith("error:")
-        assert "missing.json" in message
+        assert "ck.d" in message
 
     def test_checkpoint_then_resume_prints_identical_result(
         self, tmp_path, capsys
@@ -340,19 +356,39 @@ class TestRobustnessFlags:
                 "--strategy", "arcs-online", "--repeats", "1"]
         assert main(base + ["--checkpoint", ck]) == 0
         first = capsys.readouterr().out
-        assert main(base + ["--resume-from", ck]) == 0
+        assert main(base + ["--checkpoint", ck]) == 0
         assert capsys.readouterr().out == first
 
-    def test_sweep_resume_with_changed_setup_is_refused(
+    def test_sweep_with_changed_setup_misses_by_construction(
         self, tmp_path, capsys
     ):
-        journal = str(tmp_path / "journal.jsonl")
-        base = ["sweep", "--app", "synthetic", "--repeats", "1",
-                "--no-cache", "--journal", journal]
-        assert main(base) == 0
+        # no header to refuse: a changed seed digests differently, so
+        # it gets 0 hits and prints what a fresh store prints
+        base = ["sweep", "--app", "synthetic", "--repeats", "1"]
+        store = str(tmp_path / "store")
+        assert main(base + ["--cache-dir", store]) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            main(base + ["--seed", "1", "--resume"])
-        message = str(err.value.code)
-        assert "journal" in message
-        assert "seeds" in message
+        assert main(base + ["--cache-dir", store, "--seed", "1"]) == 0
+        changed = capsys.readouterr().out
+        assert "[cache] 0 hit(s), 15 miss(es)" in changed
+        fresh = str(tmp_path / "fresh")
+        assert main(base + ["--cache-dir", fresh, "--seed", "1"]) == 0
+        assert capsys.readouterr().out.replace(fresh, store) == changed
+
+    def test_surrogate_fit_folds_each_cell_once(self, tmp_path, capsys):
+        # the sweep's store is the one source of its cells: folding it
+        # yields one record set per offline cell, not one per store
+        store = str(tmp_path / "store")
+        assert main(["sweep", "--app", "synthetic", "--repeats", "1",
+                     "--cache-dir", store]) == 0
+        corpus = tmp_path / "corpus.json"
+        assert main(["surrogate", "fit", "--cache-dir", store,
+                     "--out", str(tmp_path / "m.json"),
+                     "--corpus", str(corpus)]) == 0
+        from repro.surrogate.corpus import load_corpus
+
+        records, _stats = load_corpus(corpus)
+        cells = {(r.cap_w, r.region) for r in records}
+        regions = {r.region for r in records}
+        assert len(records) == len(cells) == 5 * len(regions)
+        assert len({r.provenance for r in records}) == 5

@@ -1,4 +1,5 @@
-"""Tests for the content-addressed experiment result cache."""
+"""Tests for the content-addressed memo of sweep cells: digests, the
+result codec and the sweep journal as a store."""
 
 from __future__ import annotations
 
@@ -11,16 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.history import HistoryStore
 from repro.core.capschedule import load_cap_schedule
 from repro.experiments.cache import (
-    CacheEntryLog,
-    ExperimentCache,
     experiment_digest,
+    history_path,
     result_from_json,
     result_to_json,
 )
-from repro.experiments.parallel import SweepTask, task_run_id
+from repro.experiments.journal import SweepJournal
+from repro.experiments.parallel import (
+    ParallelSweepExecutor,
+    SweepTask,
+    task_run_id,
+)
 from repro.experiments.runner import (
     ExperimentSetup,
     run_arcs_offline,
@@ -30,7 +34,6 @@ from repro.experiments.serialize import app_fingerprint
 from repro.faults.plan import load_fault_plan
 from repro.machine.spec import crill
 from repro.service.source import config_key
-from repro.openmp.types import OMPConfig
 from repro.util.jsonlog import encode
 from repro.workloads.sp import sp_application
 from repro.workloads.synthetic import synthetic_application
@@ -55,7 +58,7 @@ def offline_result(app, setup):
 
 @pytest.fixture
 def cache(tmp_path):
-    return ExperimentCache(tmp_path / "cache")
+    return SweepJournal.in_dir(tmp_path / "cache")
 
 
 class TestDigest:
@@ -153,9 +156,12 @@ class TestDigest:
             spec=crill(), cap_w=85.0, repeats=3, online_max_evals=10
         )
         c = ExperimentSetup(spec=crill(), cap_w=70.0, repeats=2)
-        cache = ExperimentCache(tmp_path)
-        assert cache.history_path(app, a) == cache.history_path(app, b)
-        assert cache.history_path(app, a) != cache.history_path(app, c)
+        assert history_path(tmp_path, app, a) == history_path(
+            tmp_path, app, b
+        )
+        assert history_path(tmp_path, app, a) != history_path(
+            tmp_path, app, c
+        )
 
     def test_digests_are_pinned(self, tmp_path):
         """Every key derived from the measurement context keeps the
@@ -175,9 +181,7 @@ class TestDigest:
         history = (
             "a26d182cd36001cf4ad72ead922164c4f8fc0714513f778e6c94c40391908ba5"
         )
-        assert ExperimentCache(tmp_path).history_path(app, setup).stem == (
-            history
-        )
+        assert history_path(tmp_path, app, setup).stem == history
         assert config_key(app, setup).digest == history
         static = replace(setup, cap_schedule=None)
         run_ids = {
@@ -222,85 +226,97 @@ class TestSerialization:
         assert restored == result
 
 
+def _cell(app, setup, strategy="arcs-offline") -> SweepTask:
+    return SweepTask(app=app, setup=setup, strategy=strategy)
+
+
+def _run(journal, task, result=None):
+    """One executor pass of ``task`` over ``journal``, where a miss
+    computes ``result`` (``None``: a miss fails the test).  Returns
+    the result and whether it was a hit."""
+
+    def compute(_task):
+        assert result is not None, f"{_task.label} missed"
+        return result
+
+    executor = ParallelSweepExecutor(journal=journal, task_fn=compute)
+    (got,) = executor.run([task])
+    assert executor.hits + executor.misses == 1
+    return got, executor.hits == 1
+
+
 class TestCacheStore:
     def test_miss_then_hit(self, cache, app, setup, offline_result):
-        assert cache.get(app, setup, "arcs-offline") is None
-        cache.put(app, setup, "arcs-offline", offline_result)
-        assert cache.get(app, setup, "arcs-offline") == offline_result
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        task = _cell(app, setup)
+        assert _run(cache, task, offline_result) == (offline_result, False)
+        assert _run(cache, task) == (offline_result, True)
 
     def test_distinct_cells_do_not_collide(
         self, cache, app, setup, offline_result
     ):
-        cache.put(app, setup, "arcs-offline", offline_result)
-        assert cache.get(app, setup, "default") is None
+        _run(cache, _cell(app, setup), offline_result)
+        default = run_default(app, setup)
+        assert _run(cache, _cell(app, setup, "default"), default) == (
+            default,
+            False,
+        )
         other = ExperimentSetup(spec=crill(), cap_w=70.0, repeats=2)
-        assert cache.get(app, other, "arcs-offline") is None
+        assert not _run(cache, _cell(app, other), offline_result)[1]
 
     def test_corrupt_entry_is_a_miss(
         self, cache, app, setup, offline_result
     ):
-        path = cache.put(app, setup, "arcs-offline", offline_result)
-        path.write_bytes(b"{ not a log line\n")
-        assert cache.get(app, setup, "arcs-offline") is None
-        assert cache.stats.invalidated == 1
+        _run(cache, _cell(app, setup), offline_result)
+        cache.path.write_bytes(b"{ not a log line\n")
+        assert not _run(cache, _cell(app, setup), offline_result)[1]
+        quarantined = cache.path.parent / "quarantine" / "cells.jsonl.0"
+        assert quarantined.read_bytes() == b"{ not a log line\n"
 
     def test_schema_mismatch_invalidates(
         self, cache, app, setup, offline_result
     ):
-        path = cache.put(app, setup, "arcs-offline", offline_result)
-        (record,) = CacheEntryLog(path).scan().records
-        path.write_bytes(encode(record, CacheEntryLog.schema + 1))
-        assert cache.get(app, setup, "arcs-offline") is None
-        assert cache.stats.invalidated == 1
-        # a fresh put repairs the entry
-        cache.put(app, setup, "arcs-offline", offline_result)
-        assert cache.get(app, setup, "arcs-offline") == offline_result
+        task = _cell(app, setup)
+        _run(cache, task, offline_result)
+        (record,) = cache.scan().records
+        cache.path.write_bytes(encode(record, SweepJournal.schema + 1))
+        assert not _run(cache, task, offline_result)[1]
+        # the miss re-recorded the cell
+        assert _run(cache, task) == (offline_result, True)
 
     def test_truncated_entry_is_a_miss(
         self, cache, app, setup, offline_result
     ):
         """A crash mid-write must never poison later runs."""
-        path = cache.put(app, setup, "arcs-offline", offline_result)
-        payload = path.read_bytes()
-        path.write_bytes(payload[: len(payload) // 2])
-        assert cache.get(app, setup, "arcs-offline") is None
-        assert cache.stats.invalidated == 1
+        _run(cache, _cell(app, setup), offline_result)
+        payload = cache.path.read_bytes()
+        cache.path.write_bytes(payload[: len(payload) // 2])
+        assert not _run(cache, _cell(app, setup), offline_result)[1]
 
     def test_entry_for_another_digest_is_a_miss(
         self, cache, app, setup, offline_result
     ):
-        """A verified entry copied under the wrong name is not a hit."""
-        path = cache.put(app, setup, "arcs-offline", offline_result)
-        other = cache.result_path(app, setup, "default")
-        other.write_bytes(path.read_bytes())
-        assert cache.get(app, setup, "default") is None
-        assert cache.stats.invalidated == 1
+        """A verified record keyed by another cell is not a hit."""
+        other = experiment_digest(app, setup, "default")
+        cache.append(other, "other", offline_result)
+        assert not _run(cache, _cell(app, setup), offline_result)[1]
 
-    def test_unreadable_entry_is_a_miss(self, cache, app, setup):
-        """An entry path that cannot be read (here a directory) is a
-        miss, counted invalidated, never an exception."""
-        cache.result_path(app, setup, "arcs-offline").mkdir(parents=True)
-        assert cache.get(app, setup, "arcs-offline") is None
-        assert cache.stats.misses == 1
-        assert cache.stats.invalidated == 1
+    def test_unreadable_journal_is_an_error(self, cache, app, setup):
+        """A journal path that cannot be read (here a directory) fails
+        loudly: nothing could be recorded there either."""
+        cache.path.mkdir(parents=True)
+        with pytest.raises(OSError):
+            _run(cache, _cell(app, setup))
 
     def test_put_leaves_no_temp_files(
         self, cache, app, setup, offline_result
     ):
-        path = cache.put(app, setup, "arcs-offline", offline_result)
+        _run(cache, _cell(app, setup), offline_result)
         leftovers = [
-            p for p in path.parent.iterdir() if p.suffix == ".tmp"
+            p for p in cache.path.parent.iterdir() if p.suffix == ".tmp"
         ]
         assert leftovers == []
 
     def test_clear(self, cache, app, setup, offline_result):
-        cache.put(app, setup, "arcs-offline", offline_result)
-        HistoryStore(cache.history_path(app, setup)).save(
-            "k", {"r": OMPConfig(4)}
-        )
-        # an entry left by the earlier ``<digest>.json`` layout goes too
-        (cache.root / f"{'0' * 64}.json").write_text("{}")
-        assert cache.clear() == 3
-        assert cache.get(app, setup, "arcs-offline") is None
+        _run(cache, _cell(app, setup), offline_result)
+        cache.clear()
+        assert not _run(cache, _cell(app, setup), offline_result)[1]

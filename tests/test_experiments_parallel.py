@@ -18,8 +18,9 @@ from repro.core.history import (
     experiment_key,
 )
 from repro.core.policy import MissingRegionConfigError
-from repro.experiments.cache import ExperimentCache, result_to_json
+from repro.experiments.cache import result_to_json
 from repro.experiments.figures import power_sweep
+from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import (
     ParallelSweepExecutor,
     SweepTask,
@@ -35,7 +36,6 @@ from repro.experiments.runner import (
 )
 from repro.machine.spec import crill, minotaur
 from repro.openmp.types import OMPConfig
-from repro.util.jsonlog import LogMismatchError
 from repro.workloads.synthetic import synthetic_application
 
 
@@ -136,20 +136,20 @@ class TestExecutorBasics:
 
 class TestCacheIntegration:
     def test_second_run_executes_nothing(self, tmp_path):
-        cache = ExperimentCache(tmp_path / "cache")
+        cache = SweepJournal.in_dir(tmp_path / "cache")
         scratch = str(tmp_path / "calls")
         tasks = [
             _task("default", cap_w=85.0, history_path=scratch),
             _task("default", cap_w=70.0, history_path=scratch),
         ]
         first = ParallelSweepExecutor(
-            max_workers=1, cache=cache, task_fn=_marking_task
+            max_workers=1, journal=cache, task_fn=_marking_task
         ).run(tasks)
         calls_after_first = len(list(Path(scratch).iterdir()))
         assert calls_after_first == 2
 
         second = ParallelSweepExecutor(
-            max_workers=1, cache=cache, task_fn=_marking_task
+            max_workers=1, journal=cache, task_fn=_marking_task
         ).run(tasks)
         assert len(list(Path(scratch).iterdir())) == calls_after_first
         assert second == first
@@ -158,19 +158,18 @@ class TestCacheIntegration:
         """Exhaustive tuning happens once per (app, machine, cap):
         clearing cached *results* but keeping the tuned history must
         yield a re-measured sweep with zero tuning runs."""
-        cache = ExperimentCache(tmp_path / "cache")
+        cache = SweepJournal.in_dir(tmp_path / "cache")
         app = _app()
         first = power_sweep(
             app, crill(), (85.0,), repeats=1,
-            executor=ParallelSweepExecutor(cache=cache),
+            executor=ParallelSweepExecutor(journal=cache),
         )
         assert first.results[("85W", "arcs-offline")].tuning_runs >= 1
 
-        for path in cache.root.glob("*.jsonl"):   # results only
-            path.unlink()
+        cache.path.unlink()   # results only
         rerun = power_sweep(
             app, crill(), (85.0,), repeats=1,
-            executor=ParallelSweepExecutor(cache=cache),
+            executor=ParallelSweepExecutor(journal=cache),
         )
         offline = rerun.results[("85W", "arcs-offline")]
         assert offline.tuning_runs == 0
@@ -304,85 +303,68 @@ class TestBugfixRegressions:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
+def _never(task):
+    raise AssertionError(f"{task.label} re-ran instead of being reused")
+
+
 class TestJournalHeader:
-    """The sweep-identity header that guards ``--resume`` against
-    mixing results from a different sweep."""
+    """The sweep journal has no header: its records are
+    content-addressed, so a changed setup misses by construction and
+    running again against the same journal is the resume."""
 
     def _journal(self, tmp_path):
-        from repro.experiments.journal import SweepJournal
-
         return SweepJournal(tmp_path / "journal.jsonl")
 
     def test_roundtrip(self, tmp_path):
         journal = self._journal(tmp_path)
-        header = {"sweep": "abc123", "seeds": [0], "faults": []}
-        journal.write_header(header)
-        assert journal.read_header() == header
+        task = _task()
+        result = run_sweep_task(task)
+        digest = ParallelSweepExecutor._digest(task)
+        journal.append(digest, task.label, result)
+        assert journal.load() == {digest: result}
+        assert journal.read_header() is None
 
     def test_missing_and_empty_journals_have_no_header(self, tmp_path):
         journal = self._journal(tmp_path)
         assert journal.read_header() is None
+        assert journal.load() == {}
         journal.clear()
         assert journal.read_header() is None
+        assert journal.load() == {}
 
     def test_header_is_not_a_cell(self, tmp_path):
+        # a journal written before records were content-addressed
+        # starts with a sweep header: it is neither a cell nor a bar
+        # to reusing the cells after it
         journal = self._journal(tmp_path)
         journal.write_header({"sweep": "abc123"})
         task = _task()
         digest = ParallelSweepExecutor._digest(task)
         journal.append(digest, task.label, run_sweep_task(task))
-        # load() must neither return the header nor truncate it away
         assert list(journal.load()) == [digest]
+        executor = ParallelSweepExecutor(journal=journal, task_fn=_never)
+        executor.run([task])
+        assert executor.hits == 1
         assert journal.read_header() == {"sweep": "abc123"}
 
-    def test_executor_refuses_foreign_journal(self, tmp_path):
+    def test_changed_seed_misses_by_construction(self, tmp_path):
         journal = self._journal(tmp_path)
-        tasks = [_task(strategy="default", seed=0)]
-        ParallelSweepExecutor(journal=journal).run(tasks)
+        ParallelSweepExecutor(journal=journal).run([_task(seed=0)])
         other = [_task(strategy="default", seed=1)]
-        with pytest.raises(LogMismatchError, match="seeds"):
-            ParallelSweepExecutor(
-                journal=journal, resume=True
-            ).run(other)
+        executor = ParallelSweepExecutor(journal=journal)
+        reused = executor.run(other)
+        assert (executor.hits, executor.misses) == (0, 1)
+        fresh = ParallelSweepExecutor(
+            journal=self._journal(tmp_path / "fresh")
+        ).run(other)
+        assert result_to_json(reused[0]) == result_to_json(fresh[0])
+        assert len(journal.load()) == 2
 
     def test_executor_resumes_matching_journal(self, tmp_path):
         journal = self._journal(tmp_path)
         tasks = [_task(strategy="default", seed=0)]
         first = ParallelSweepExecutor(journal=journal).run(tasks)
         resumed = ParallelSweepExecutor(
-            journal=journal, resume=True
+            journal=journal, task_fn=_never
         ).run([_task(strategy="default", seed=0)])
         assert result_to_json(resumed[0]) == result_to_json(first[0])
-
-    def test_resume_refuses_headerless_journal(self, tmp_path):
-        # a non-empty journal without a header names no sweep: refused,
-        # every expected key named, the file left as it was
-        journal = self._journal(tmp_path)
-        task = _task()
-        digest = ParallelSweepExecutor._digest(task)
-        journal.append(digest, task.label, run_sweep_task(task))
-        before = journal.path.read_bytes()
-        with pytest.raises(
-            LogMismatchError, match="no sweep header.*faults, seeds, sweep"
-        ):
-            ParallelSweepExecutor(journal=journal, resume=True).run([task])
-        assert journal.path.read_bytes() == before
-
-    @pytest.mark.parametrize("existing", ["missing", "empty"])
-    def test_resume_onto_fresh_journal_writes_header(
-        self, tmp_path, existing
-    ):
-        # so a later --resume of the same path still checks identity
-        journal = self._journal(tmp_path)
-        if existing == "empty":
-            journal.path.write_bytes(b"")
-        tasks = [_task()]
-        ParallelSweepExecutor(journal=journal, resume=True).run(tasks)
-        assert journal.read_header() == ParallelSweepExecutor._header(
-            tasks
-        )
-        assert len(journal.load()) == 1
-        with pytest.raises(LogMismatchError, match="seeds"):
-            ParallelSweepExecutor(journal=journal, resume=True).run(
-                [_task(seed=1)]
-            )

@@ -1,16 +1,16 @@
 """Tests for the one durable-log format and every user of it.
 
 ``TestCorruptionProperties`` is the log's robustness contract, run
-against the three appending users - service-store shards, sweep
-journals and fleet journals: a log truncated or bit-flipped at ANY
+against the three appending users - service-store shards, the sweep
+journal (both of its record kinds: sweep cells and ARCS-Online
+repeats) and fleet journals: a log truncated or bit-flipped at ANY
 byte offset is detected and quarantined, every surviving record comes
 back verbatim, nothing is invented, no other log is touched and the
 rebuilt log reloads clean.  ``TestWholeFileDamage`` is the contract of
-the three stores rewritten whole - result-cache entries, the tuned
-history and run checkpoints: the same damage rejects the file
-outright, and the file is never rewritten in place.  Offsets come from
-a seeded RNG over many trials (plain pytest, no hypothesis
-dependency).
+the one store rewritten whole, the tuned history: the same damage
+rejects the file outright, and the file is never rewritten in place.
+Offsets come from a seeded RNG over many trials (plain pytest, no
+hypothesis dependency).
 """
 
 from __future__ import annotations
@@ -22,17 +22,12 @@ import pytest
 
 from repro.analysis.records import fleet_survival_records, journal_records
 from repro.core.history import CorruptHistoryError, HistoryStore
-from repro.experiments.cache import ExperimentCache, result_to_json
+from repro.experiments.cache import result_to_json
 from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
-from repro.experiments.resumable import (
-    CheckpointError,
-    SimulatedKill,
-    load_run_checkpoint,
-    write_run_checkpoint,
-)
 from repro.experiments.runner import (
     ExperimentSetup,
+    SimulatedKill,
     StrategyRunResult,
     run_arcs_online,
 )
@@ -40,7 +35,7 @@ from repro.fleet.journal import FleetJournal
 from repro.machine.spec import crill
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.service.store import ServiceStore
-from repro.surrogate.corpus import CorpusStats, fold_journal
+from repro.surrogate.corpus import CorpusStats, fold_cache_dir
 from repro.util.jsonlog import JsonLog, LogMismatchError, encode
 from repro.workloads.synthetic import synthetic_application
 
@@ -58,7 +53,8 @@ def cell(i: int) -> StrategyRunResult:
 
 
 # ---------------------------------------------------------------------------
-# the three users, each as write(root) -> log files, read(root) -> records
+# the appending users, each as write(root) -> log files,
+# read(root) -> records
 # ---------------------------------------------------------------------------
 def _store_write(root):
     store = ServiceStore(root)
@@ -75,16 +71,29 @@ def _store_read(root):
 
 
 def _sweep_write(root):
-    journal = SweepJournal(root / "sweep.jsonl")
-    journal.open({"sweep": "abc", "seeds": [0]}, resume=False)
+    journal = SweepJournal.in_dir(root)
     for i in range(12):
         journal.append(f"d{i:02d}", f"cell-{i}", cell(i))
     return [journal.path]
 
 
 def _sweep_read(root):
-    loaded = SweepJournal(root / "sweep.jsonl").load()
+    loaded = SweepJournal.in_dir(root).load()
     return {d: result_to_json(r) for d, r in loaded.items()}
+
+
+def _repeat_write(root):
+    journal = SweepJournal.in_dir(root)
+    for r in range(12):
+        journal.append_repeat(
+            "run", r, {"run": {"time_s": 0.5 + r}, "dropouts": r % 3}
+        )
+    return [journal.path]
+
+
+def _repeat_read(root):
+    # the contiguous prefix of repeats a resumed run would replay
+    return dict(enumerate(SweepJournal.in_dir(root).repeats("run")))
 
 
 def _fleet_write(root):
@@ -103,6 +112,7 @@ def _fleet_read(root):
 USERS = {
     "store": (_store_write, _store_read),
     "sweep": (_sweep_write, _sweep_read),
+    "repeat": (_repeat_write, _repeat_read),
     "fleet": (_fleet_write, _fleet_read),
 }
 
@@ -161,26 +171,8 @@ class TestCorruptionProperties:
 
 
 # ---------------------------------------------------------------------------
-# the stores rewritten whole: damage anywhere rejects the file
+# the store rewritten whole: damage anywhere rejects the file
 # ---------------------------------------------------------------------------
-CACHE_APP = synthetic_application(timesteps=1, include_tiny=False)
-CACHE_SETUP = ExperimentSetup(spec=crill(), cap_w=85.0, repeats=1)
-CKPT_META = {"strategy": "arcs-online", "seed": 7}
-
-
-def _cache_write(path):
-    cache = ExperimentCache(path.parent)
-    return cache.put(CACHE_APP, CACHE_SETUP, "default", cell(0))
-
-
-def _cache_check(path):
-    cache = ExperimentCache(path.parent)
-    assert cache.get(CACHE_APP, CACHE_SETUP, "default") is None
-    assert (cache.stats.hits, cache.stats.invalidated) == (0, 1)
-    cache.put(CACHE_APP, CACHE_SETUP, "default", cell(0))
-    assert cache.get(CACHE_APP, CACHE_SETUP, "default") == cell(0)
-
-
 def _history_write(path):
     store = HistoryStore(path)
     for i in range(4):
@@ -203,34 +195,8 @@ def _history_check(path):
     assert path.read_bytes() == before
 
 
-def _checkpoint_write(path):
-    record = {
-        "runs": [{"app_label": "synthetic", "time_s": 0.0799}],
-        "fallbacks": {},
-        "dropouts": 0,
-        "configs": {
-            "r": {"n_threads": 16, "schedule": "guided", "chunk": 8}
-        },
-        "overhead": None,
-        "cap_changes": ["invocation 30: power cap 85W -> 70W"],
-        "next_run": 1,
-    }
-    write_run_checkpoint(path, CKPT_META, record)
-    return path
-
-
-def _checkpoint_check(path):
-    before = path.read_bytes()
-    with pytest.raises(CheckpointError) as err:
-        load_run_checkpoint(path)
-    assert str(path) in str(err.value)
-    assert path.read_bytes() == before
-
-
 WHOLE_FILE_STORES = {
-    "cache": (_cache_write, _cache_check),
     "history": (_history_write, _history_check),
-    "checkpoint": (_checkpoint_write, _checkpoint_check),
 }
 
 
@@ -284,7 +250,7 @@ class TestJournalRegressions:
             return _fake_cell(task)
 
         results = ParallelSweepExecutor(
-            journal=journal, resume=True, task_fn=counting
+            journal=journal, task_fn=counting
         ).run(tasks)
         return reran, results
 
@@ -292,8 +258,8 @@ class TestJournalRegressions:
         tasks, journal = self._journaled(tmp_path, 3)
         lines = journal.path.read_bytes().splitlines(keepends=True)
         # 12.345678 + 51 = 63.345678: one digit flips, the JSON stays valid
-        assert b'"time_s":63.345678' in lines[2]
-        lines[2] = lines[2].replace(b'"time_s":63.3', b'"time_s":64.3')
+        assert b'"time_s":63.345678' in lines[1]
+        lines[1] = lines[1].replace(b'"time_s":63.3', b'"time_s":64.3')
         journal.path.write_bytes(b"".join(lines))
 
         reran, results = self._resume(journal, tasks)
@@ -305,7 +271,7 @@ class TestJournalRegressions:
     def test_mid_file_garbage_keeps_cells_on_both_sides(self, tmp_path):
         tasks, journal = self._journaled(tmp_path, 5)
         lines = journal.path.read_bytes().splitlines(keepends=True)
-        lines[3] = b'{"crc":"garbage\n'  # cell 2 of 0..4
+        lines[2] = b'{"crc":"garbage\n'  # cell 2 of 0..4
         journal.path.write_bytes(b"".join(lines))
 
         reran, _results = self._resume(journal, tasks)
@@ -332,11 +298,14 @@ class TestWholeFileRegressions:
     """A flipped value that still parses is rejected, not replayed."""
 
     def test_cache_time_scaled_tenfold(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        path = cache.put(CACHE_APP, CACHE_SETUP, "default", cell(0))
-        _edit_value(path, "time_s", lambda t: t * 10)
-        assert cache.get(CACHE_APP, CACHE_SETUP, "default") is None
-        assert (cache.stats.hits, cache.stats.invalidated) == (0, 1)
+        (task,) = _tasks(1)
+        journal = SweepJournal.in_dir(tmp_path)
+        ParallelSweepExecutor(journal=journal, task_fn=_fake_cell).run([task])
+        _edit_value(journal.path, "time_s", lambda t: t * 10)
+        executor = ParallelSweepExecutor(journal=journal, task_fn=_fake_cell)
+        (result,) = executor.run([task])
+        assert (executor.hits, executor.misses) == (0, 1)
+        assert result == _fake_cell(task)
 
     def test_history_chunk_edited(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -349,6 +318,7 @@ class TestWholeFileRegressions:
     def test_checkpoint_clock_doubled(self, tmp_path):
         app = synthetic_application(timesteps=4)
         setup = ExperimentSetup(spec=crill(), cap_w=85.0, repeats=2)
+        expected = result_to_json(run_arcs_online(app, setup))
         per_run = app.timesteps * app.calls_per_step()
         ck = tmp_path / "ck.jsonl"
         with pytest.raises(SimulatedKill):
@@ -356,16 +326,19 @@ class TestWholeFileRegressions:
                 app, setup, checkpoint_path=ck, kill_after=per_run + 3
             )
         # the completed repeat's wall time: still parses, no longer
-        # verifies
+        # verifies, so the repeat is quarantined and re-run
         _edit_value(ck, "time_s", lambda t: t * 2)
         tampered = ck.read_bytes()
-        with pytest.raises(CheckpointError, match="damaged"):
-            run_arcs_online(app, setup, resume_from=ck)
-        assert ck.read_bytes() == tampered
+        resumed = run_arcs_online(app, setup, checkpoint_path=ck)
+        assert result_to_json(resumed) == expected
+        assert (tmp_path / "quarantine" / "ck.jsonl.0").read_bytes() == (
+            tampered
+        )
 
 
 # ---------------------------------------------------------------------------
-# the header rule, for both journals
+# the header rule (JsonLog.open) on both journal classes; only fleet
+# runs open their journal with a header
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("cls", [SweepJournal, FleetJournal])
 class TestHeaderRule:
@@ -479,7 +452,7 @@ class TestReadersDoNotWrite:
         assert len(rows) == 11
         assert path.read_bytes() == before
         stats = CorpusStats()
-        fold_journal(path, stats)
+        fold_cache_dir(tmp_path, stats)
         assert stats.skipped_damaged == 2
         assert path.read_bytes() == before
         assert not (tmp_path / "quarantine").exists()

@@ -344,7 +344,7 @@ class TestSweepWorkerBoundary:
         )
 
         resumed = ParallelSweepExecutor(
-            journal=SweepJournal(journal_path), resume=True
+            journal=SweepJournal(journal_path)
         )
         results = resumed.run([self._task(telemetry)])
         assert len(results) == 1

@@ -204,17 +204,15 @@ class TestJournaledResume:
             tasks
         )
         lines = path.read_text().splitlines(keepends=True)
-        # one sweep-identity header line plus one line per cell
-        assert len(lines) == len(tasks) + 1
+        # one line per cell
+        assert len(lines) == len(tasks)
 
-        # simulate a kill -9 mid-append: header and first cell intact,
-        # second cell torn
-        path.write_text(
-            lines[0] + lines[1] + lines[2][: len(lines[2]) // 2]
+        # simulate a kill -9 mid-append: first cell intact, second
+        # cell torn
+        path.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+        resumed = ParallelSweepExecutor(journal=SweepJournal(path)).run(
+            tasks
         )
-        resumed = ParallelSweepExecutor(
-            journal=SweepJournal(path), resume=True
-        ).run(tasks)
 
         assert [result_to_json(r) for r in resumed] == [
             result_to_json(r) for r in full
@@ -235,23 +233,19 @@ class TestJournaledResume:
 
         resumed = ParallelSweepExecutor(
             journal=SweepJournal(path),
-            resume=True,
             task_fn=counting_task,
         ).run(tasks)
         assert calls == []
         assert len(resumed) == len(tasks)
 
-    def test_without_resume_journal_is_restarted(self, tmp_path):
+    def test_rerun_appends_nothing(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         tasks = _tasks()
         ParallelSweepExecutor(journal=SweepJournal(path)).run(tasks)
+        before = path.read_bytes()
         ParallelSweepExecutor(journal=SweepJournal(path)).run(tasks)
-        # cleared then re-filled (header + cells), not appended twice
-        assert len(path.read_text().splitlines()) == len(tasks) + 1
-
-    def test_resume_requires_journal(self):
-        with pytest.raises(ValueError, match="journal"):
-            ParallelSweepExecutor(resume=True)
+        # every cell was a hit: nothing recorded twice
+        assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

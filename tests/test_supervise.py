@@ -89,7 +89,7 @@ class TestEscalationLadder:
     def test_abort_message_mentions_resume(self):
         runtime = faulty_runtime(crash_spec(max_fires=None))
         sup = RegionSupervisor(runtime)
-        with pytest.raises(RunAbortedError, match="--resume-from"):
+        with pytest.raises(RunAbortedError, match="same --checkpoint"):
             sup.execute(make_region(name="r"))
 
     def test_success_resets_consecutive_failures(self):

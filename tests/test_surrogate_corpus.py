@@ -1,5 +1,6 @@
-"""Corpus extraction: folding caches, journals and telemetry into
-training records - and proving the fold never raises on damage.
+"""Corpus extraction: folding the journal of completed measurements
+and telemetry into training records - and proving the fold never
+raises on damage.
 
 The regression this file pins down: a sweep journal written across a
 schema upgrade holds lines from *both* versions, and the fold must
@@ -15,11 +16,7 @@ import json
 
 import pytest
 
-from repro.experiments.cache import (
-    CacheEntryLog,
-    ExperimentCache,
-    result_to_json,
-)
+from repro.experiments.cache import experiment_digest, result_to_json
 from repro.experiments.journal import JOURNAL_SCHEMA_VERSION, SweepJournal
 from repro.experiments.runner import ExperimentSetup, run_arcs_offline
 from repro.faults.inject import make_injector
@@ -30,7 +27,6 @@ from repro.surrogate.corpus import (
     CorpusStats,
     TrainingRecord,
     fold_cache_dir,
-    fold_journal,
     fold_result,
     fold_telemetry_file,
     load_corpus,
@@ -96,25 +92,25 @@ class TestFoldCacheDir:
     def test_folds_entries_and_skips_damage(
         self, tmp_path, offline_result
     ):
-        cache = ExperimentCache(tmp_path)
-        path = cache.put(
-            APP, offline_setup(), "arcs-offline", offline_result
-        )
-        data = path.read_bytes()
-        (tmp_path / "torn.jsonl").write_bytes(data[: len(data) // 2])
-        (tmp_path / "old.jsonl").write_bytes(
-            encode({"digest": "0" * 64}, CacheEntryLog.schema + 1)
-        )
+        journal = SweepJournal.in_dir(tmp_path)
+        digest = experiment_digest(APP, offline_setup(), "arcs-offline")
+        journal.append(digest, "cell", offline_result)
+        cell_line = journal.path.read_bytes()
+        journal.append_repeat("run", 0, {"run": {}})  # not a cell
+        with open(journal.path, "ab") as handle:
+            handle.write(encode({"digest": "0" * 64}, journal.schema + 1))
+            handle.write(cell_line[: len(cell_line) // 2])  # torn tail
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         stats = CorpusStats()
         records = fold_cache_dir(tmp_path, stats)
         assert len(records) == REGION_COUNT
-        assert all(r.provenance == path.stem for r in records)
-        assert stats.files == 3
+        assert all(r.provenance == digest for r in records)
+        assert all(r.source == "cache" for r in records)
+        assert stats.files == 1
         assert stats.skipped_damaged == 1
         assert stats.skipped_schema == 1
         assert any("torn/corrupt cache" in n for n in stats.notes)
-        # read-only, like the journal fold
+        # read-only: the fold must never repair the store's own log
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_directory_is_empty_not_an_error(self, tmp_path):
@@ -123,8 +119,11 @@ class TestFoldCacheDir:
 
 
 class TestFoldJournal:
+    """The store's journal as written across versions: with an old
+    sweep header, with lines of another schema, with a torn tail."""
+
     def _journal(self, tmp_path, offline_result) -> SweepJournal:
-        journal = SweepJournal(tmp_path / "sweep.jsonl")
+        journal = SweepJournal.in_dir(tmp_path)
         journal.write_header({"sweep": "test"})
         journal.append("a" * 64, "cell-a", offline_result)
         return journal
@@ -132,12 +131,11 @@ class TestFoldJournal:
     def test_folds_cells_and_ignores_header(
         self, tmp_path, offline_result
     ):
-        journal = self._journal(tmp_path, offline_result)
+        self._journal(tmp_path, offline_result)
         stats = CorpusStats()
-        records = fold_journal(journal.path, stats)
+        records = fold_cache_dir(tmp_path, stats)
         assert len(records) == REGION_COUNT
-        assert all(r.source == "journal" for r in records)
-        assert all(r.provenance.startswith("sweep:") for r in records)
+        assert all(r.provenance == "a" * 64 for r in records)
 
     def test_mixed_schema_versions_skip_and_count_not_raise(
         self, tmp_path, offline_result
@@ -155,7 +153,7 @@ class TestFoldJournal:
             handle.write(encode(foreign, JOURNAL_SCHEMA_VERSION + 1))
         journal.append("c" * 64, "cell-c", offline_result)
         stats = CorpusStats()
-        records = fold_journal(journal.path, stats)
+        records = fold_cache_dir(tmp_path, stats)
         assert len(records) == 2 * REGION_COUNT
         assert stats.skipped_schema == 1
         assert stats.skipped_damaged == 0
@@ -168,7 +166,7 @@ class TestFoldJournal:
             handle.write('{"schema": 1, "digest": "tor')  # no newline
         before = journal.path.read_bytes()
         stats = CorpusStats()
-        records = fold_journal(journal.path, stats)
+        records = fold_cache_dir(tmp_path, stats)
         assert len(records) == REGION_COUNT
         assert stats.skipped_damaged == 1
         assert any("torn/corrupt" in n for n in stats.notes)
@@ -178,8 +176,8 @@ class TestFoldJournal:
 
     def test_missing_journal_notes_and_returns_empty(self, tmp_path):
         stats = CorpusStats()
-        assert fold_journal(tmp_path / "gone.jsonl", stats) == []
-        assert any("unreadable journal" in n for n in stats.notes)
+        assert fold_cache_dir(tmp_path, stats) == []
+        assert any("no journal" in n for n in stats.notes)
 
 
 class TestFoldTelemetry:

@@ -426,7 +426,7 @@ class TestJournalRunIds:
         # re-running it; the run_id mapping still ties the journaled
         # cell to its existing trace file
         resumed = ParallelSweepExecutor(
-            journal=SweepJournal(journal_path), resume=True
+            journal=SweepJournal(journal_path)
         )
         results = resumed.run([task])
         assert len(results) == 1

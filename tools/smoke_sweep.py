@@ -29,8 +29,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.cache import ExperimentCache, result_to_json
+from repro.experiments.cache import result_to_json
 from repro.experiments.figures import power_sweep
+from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import CRILL_POWER_LEVELS
 from repro.machine.spec import machine_by_name
@@ -119,23 +120,21 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.cache_dir) if args.cache_dir else Path(tmp)
-        cold_cache = ExperimentCache(root)
         t0 = time.perf_counter()
         cold = power_sweep(
             app, spec, caps, repeats=args.repeats,
             executor=ParallelSweepExecutor(
-                max_workers=args.workers, cache=cold_cache
+                max_workers=args.workers, journal=SweepJournal.in_dir(root)
             ),
         )
         t_cold = time.perf_counter() - t0
 
-        warm_cache = ExperimentCache(root)
+        warm_executor = ParallelSweepExecutor(
+            max_workers=args.workers, journal=SweepJournal.in_dir(root)
+        )
         t0 = time.perf_counter()
         warm = power_sweep(
-            app, spec, caps, repeats=args.repeats,
-            executor=ParallelSweepExecutor(
-                max_workers=args.workers, cache=warm_cache
-            ),
+            app, spec, caps, repeats=args.repeats, executor=warm_executor
         )
         t_warm = time.perf_counter() - t0
 
@@ -149,11 +148,11 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     if _encode(warm) != _encode(cold):
         failures.append("warm-cache rerun differs from the cold sweep")
-    if warm_cache.stats.hits != cells or warm_cache.stats.misses:
+    if warm_executor.hits != cells or warm_executor.misses:
         failures.append(
             f"warm rerun was not fully cached "
-            f"({warm_cache.stats.hits}/{cells} hits, "
-            f"{warm_cache.stats.misses} misses)"
+            f"({warm_executor.hits}/{cells} hits, "
+            f"{warm_executor.misses} misses)"
         )
     if t_warm > args.warm_budget_s:
         failures.append(

@@ -2,19 +2,19 @@
 
 Each iteration draws a randomized fault plan and cap schedule, runs an
 uninterrupted baseline, then kills the same experiment at several
-random points (via the runner's ``kill_after`` hook, which leaves the
-last repeat-boundary checkpoint on disk) and resumes each from that
-checkpoint.  A two-repeat iteration always also kills at the last
-invocation of the first repeat, just before its boundary write.  The
-soak asserts, per kill point:
+random points (via the runner's ``kill_after`` hook; the repeats
+completed before the kill stay in the checkpoint log) and resumes each
+by running again against that log.  A two-repeat iteration always also
+kills at the last invocation of the first repeat, just before its
+record is appended.  The soak asserts, per kill point:
 
 * **equivalence** - the resumed run's full-fidelity JSON encoding is
   byte-identical to the baseline's;
 * **no-NaN** - every float anywhere in the result and in the
-  checkpoint left behind is finite;
-* **tamper refusal** - on the first iteration, the checkpoint left by
-  the first kill with one byte flipped must be refused with
-  ``CheckpointError`` before the intact file is resumed.
+  checkpoint log left behind is finite;
+* **damage is never replayed** - on the first iteration, a completed
+  run's checkpoint log with one byte flipped is quarantined, the
+  damaged repeat re-runs, and the result is still byte-identical.
 
 With ``--service`` the soak instead exercises the tuning-service
 degradation chain: each iteration boots a real daemon, runs a
@@ -47,13 +47,10 @@ from pathlib import Path
 
 from repro.core.capschedule import CapEvent, CapSchedule
 from repro.experiments.cache import result_to_json
-from repro.experiments.resumable import (
-    CheckpointError,
-    SimulatedKill,
-    load_run_checkpoint,
-)
+from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import (
     ExperimentSetup,
+    SimulatedKill,
     run_arcs_offline,
     run_arcs_online,
 )
@@ -152,11 +149,13 @@ def _assert_finite(blob, where: str) -> None:
             )
 
 
-def _assert_tamper_refused(
-    app, setup, ck: Path, rng: random.Random
+def _assert_damage_rerun(
+    app, setup, ck: Path, expected: dict, rng: random.Random
 ) -> None:
-    """A checkpoint with one flipped byte must be refused, never
-    resumed; the intact file is put back afterwards."""
+    """A completed run's log with one flipped byte must be quarantined
+    and the damaged repeat re-run, never replayed: the result stays
+    byte-identical to the baseline."""
+    run_arcs_online(app, setup, checkpoint_path=ck)
     intact = ck.read_bytes()
     offset = rng.randrange(len(intact))
     ck.write_bytes(
@@ -164,17 +163,17 @@ def _assert_tamper_refused(
         + bytes([intact[offset] ^ 0x01])
         + intact[offset + 1 :]
     )
-    try:
-        run_arcs_online(app, setup, resume_from=ck)
-    except CheckpointError:
-        pass
-    else:
+    got = result_to_json(run_arcs_online(app, setup, checkpoint_path=ck))
+    if not (ck.parent / "quarantine" / f"{ck.name}.0").exists():
         raise AssertionError(
-            f"{ck.name}: a checkpoint with byte {offset} flipped was "
-            "resumed instead of refused"
+            f"{ck.name}: a log with byte {offset} flipped was not "
+            "quarantined"
         )
-    finally:
-        ck.write_bytes(intact)
+    if got != expected:
+        raise AssertionError(
+            f"{ck.name}: a log with byte {offset} flipped was "
+            "replayed instead of re-run"
+        )
 
 
 def _iteration(
@@ -206,6 +205,10 @@ def _iteration(
         # boundary write, so the resume re-runs the whole repeat
         kills.add(baseline.runs[0].total_region_calls)
     kills = sorted(kills)
+    if iteration == 0:
+        _assert_damage_rerun(
+            app, setup, tmp / "soak-damaged.jsonl", expected, rng
+        )
     for kill in kills:
         ck = tmp / f"soak-{iteration}-{kill}.jsonl"
         try:
@@ -218,13 +221,10 @@ def _iteration(
             )
         except SimulatedKill:
             pass
-        checkpoint = load_run_checkpoint(ck)
         where = f"iter {iteration} kill {kill} checkpoint"
-        _assert_finite(checkpoint, where)
-        if iteration == 0 and kill == kills[0]:
-            _assert_tamper_refused(app, setup, ck, rng)
+        _assert_finite(SweepJournal(ck).scan().records, where)
 
-        resumed = run_arcs_online(app, setup, resume_from=ck)
+        resumed = run_arcs_online(app, setup, checkpoint_path=ck)
         got = result_to_json(resumed)
         _assert_finite(got, f"iter {iteration} kill {kill} resumed")
         if got != expected:
