@@ -1,9 +1,25 @@
 """Command-line interface.
 
+The flags that name a measurement are shared: each is declared once in
+``_SHARED_FLAGS`` and a subcommand picks the ones it takes with
+``_add_shared``.  They fall in three groups:
+
+* setup flags (``--app --workload --machine --repeats --seed
+  --faults``), turned into an application and an ``ExperimentSetup``
+  by ``_setup_from_args``;
+* store flags (``--workers --no-cache --cache-dir``), turned into the
+  sweep store by ``_store_from_args``;
+* the ``--telemetry DIR`` and ``--service HOST:PORT`` flags.
+
+A bad value exits with one ``error: ...`` line (status 1) through
+``_user_errors``; argparse usage errors exit 2.  Each subcommand names
+its handler with ``set_defaults(handler=...)``, and a handler returns
+the text to print, or ``(text, exit_code)``.
+
 Examples::
 
     python -m repro list
-    python -m repro search-space --machine crill
+    python -m repro search-space
     python -m repro run --app sp --workload B --machine crill \
         --cap 85 --strategy arcs-offline
     python -m repro sweep --app sp --workload B
@@ -29,11 +45,7 @@ from repro.analysis.registry import (
     generate_figure,
     generate_figures,
 )
-from repro.core.capschedule import (
-    CapSchedule,
-    CapScheduleError,
-    load_cap_schedule,
-)
+from repro.core.capschedule import load_cap_schedule
 from repro.core.history import HistoryStore
 from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.experiments.figures import power_sweep
@@ -71,9 +83,66 @@ from repro.util.jsonlog import LogMismatchError
 from repro.util.log import LEVELS as _LOG_LEVELS
 from repro.util.log import configure as configure_logging
 from repro.util.tables import format_table
+from repro.workloads.base import Application
 from repro.workloads.registry import application_by_name
 
 _APPS = ("sp", "bt", "lulesh", "synthetic")
+
+_SHARED_FLAGS = {
+    # setup group: what is measured
+    "--app": dict(choices=_APPS, default="sp"),
+    "--workload": dict(
+        default=None, help="NPB class (B/C) or LULESH mesh (45/60)"
+    ),
+    "--machine": dict(default="crill"),
+    "--repeats": dict(type=int, default=3),
+    "--seed": dict(type=int, default=0),
+    "--faults": dict(
+        default=None, metavar="PLAN.JSON",
+        help="fault-injection plan arming this command's fault sites "
+             "(see examples/faultplan.json); omit for a clean run",
+    ),
+    # store group: where completed cells are kept and who computes them
+    "--workers": dict(
+        type=int, default=1,
+        help="process-pool size; 1 = serial in-process (default)",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="recompute every cell and record nothing",
+    ),
+    "--cache-dir": dict(
+        default=str(DEFAULT_CACHE_DIR),
+        help="store of completed cells (a crash-safe cells.jsonl) "
+             "and shared tuned histories; a killed sweep resumes by "
+             f"running again (default: {DEFAULT_CACHE_DIR})",
+    ),
+    "--telemetry": dict(
+        default=None, metavar="DIR",
+        help="record this command's events and metrics as JSONL files "
+             "under DIR; run, sweep and fleet run also write a "
+             "Perfetto-loadable trace.json there",
+    ),
+    "--service": dict(
+        default=None, metavar="HOST:PORT",
+        help="tuning-service daemon that offline tuning fetches tuned "
+             "configs from and publishes them to, with local fallback "
+             "on any failure; results are byte-identical with or "
+             "without it",
+    ),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the named ``_SHARED_FLAGS`` on ``parser``, in order."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
+def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,31 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list applications, machines, strategies")
+    _command(sub, "list", _cmd_list,
+             "list applications, machines, strategies")
+    _command(sub, "search-space", _cmd_search_space,
+             "print the Table I search parameters")
 
-    space = sub.add_parser(
-        "search-space", help="print the Table I search parameters"
+    run = _command(
+        sub, "run", _cmd_run,
+        "run one (app, machine, cap, strategy) measurement",
     )
-    space.add_argument("--machine", default="crill")
-
-    run = sub.add_parser(
-        "run", help="run one (app, machine, cap, strategy) measurement"
-    )
-    run.add_argument("--app", choices=_APPS, default="sp")
-    run.add_argument("--workload", default=None,
-                     help="NPB class (B/C) or LULESH mesh (45/60)")
-    run.add_argument("--machine", default="crill")
+    _add_shared(run, "--app", "--workload", "--machine")
     run.add_argument("--cap", type=float, default=None,
                      help="package power cap in watts (default: TDP)")
     run.add_argument("--strategy", choices=STRATEGIES,
                      default="arcs-offline")
-    run.add_argument("--repeats", type=int, default=3)
-    run.add_argument("--seed", type=int, default=0)
+    _add_shared(run, "--repeats", "--seed")
     run.add_argument("--history", default=None,
                      help="path to an ARCS history log")
-    run.add_argument("--faults", default=None, metavar="PLAN.JSON",
-                     help="fault-injection plan (see examples/"
-                          "faultplan.json); omit for a clean run")
+    _add_shared(run, "--faults")
     run.add_argument("--cap-schedule", default=None,
                      metavar="SCHED.JSON",
                      help="dynamic power-cap schedule (see examples/"
@@ -124,14 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "running again with the same PATH resumes "
                           "at the first missing repeat (arcs-online "
                           "only)")
-    run.add_argument("--telemetry", default=None, metavar="DIR",
-                     help="record the run's full event/metric stream "
-                          "as telemetry.jsonl plus a Perfetto-loadable "
-                          "trace.json under DIR")
-    run.add_argument("--service", default=None, metavar="HOST:PORT",
-                     help="tuning-service daemon consulted before "
-                          "fresh tuning (arcs-offline only); results "
-                          "are byte-identical with or without it")
+    _add_shared(run, "--telemetry", "--service")
     run.add_argument("--service-deadline", type=float, default=None,
                      metavar="SECONDS",
                      help="per-request deadline for --service "
@@ -154,44 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "every tuned-knowledge tier misses (offline "
                           "strategies; needs --surrogate-model)")
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="default vs ARCS-Online vs ARCS-Offline across power levels",
+    sweep = _command(
+        sub, "sweep", _cmd_sweep,
+        "default vs ARCS-Online vs ARCS-Offline across power levels",
     )
-    sweep.add_argument("--app", choices=_APPS, default="sp")
-    sweep.add_argument("--workload", default=None)
-    sweep.add_argument("--machine", default="crill")
-    sweep.add_argument("--repeats", type=int, default=3)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size; 1 = serial in-process (default)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every cell and record nothing",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=str(DEFAULT_CACHE_DIR),
-        help="store of completed cells (a crash-safe cells.jsonl) "
-             "and shared tuned histories; a killed sweep resumes by "
-             f"running again (default: {DEFAULT_CACHE_DIR})",
-    )
-    sweep.add_argument(
-        "--faults", default=None, metavar="PLAN.JSON",
-        help="fault-injection plan applied to every sweep cell",
-    )
-    sweep.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="record harness lifecycle events (sweep.jsonl) and one "
-             "task-<runid>.jsonl per executed cell under DIR, plus a "
-             "merged trace.json",
-    )
-    sweep.add_argument(
-        "--service", default=None, metavar="HOST:PORT",
-        help="tuning-service daemon shared by the offline cells; "
-             "tuned configs are fetched from / published to it, with "
-             "local fallback on any failure",
+    _add_shared(
+        sweep, "--app", "--workload", "--machine", "--repeats", "--seed",
+        "--workers", "--no-cache", "--cache-dir", "--faults",
+        "--telemetry", "--service",
     )
 
     fleet = sub.add_parser(
@@ -200,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
              "power budget",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_run = fleet_sub.add_parser(
-        "run",
-        help="run a fleet: staggered nodes, hierarchical budget "
-             "allocator, failure-aware membership",
+    fleet_run = _command(
+        fleet_sub, "run", _cmd_fleet,
+        "run a fleet: staggered nodes, hierarchical budget "
+        "allocator, failure-aware membership",
     )
     fleet_run.add_argument(
         "--nodes", type=int, default=8,
@@ -221,17 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="full fleet plan (see examples/fleetplan.json); "
              "overrides --nodes/--global-cap/--seed/--max-steps",
     )
-    fleet_run.add_argument("--seed", type=int, default=0)
+    _add_shared(fleet_run, "--seed")
     fleet_run.add_argument(
         "--max-steps", type=int, default=200,
         help="hard bound on simulation steps (default: 200)",
     )
-    fleet_run.add_argument(
-        "--faults", default=None, metavar="PLAN.JSON",
-        help="fault plan arming the fleet.* sites (node crash/hang, "
-             "telemetry drop/partition, cap-write reject, flapping "
-             "membership)",
-    )
+    _add_shared(fleet_run, "--faults")
     fleet_run.add_argument(
         "--journal", default=None, metavar="PATH",
         help="fsync'd per-step fleet journal; pair with --resume to "
@@ -241,15 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from the last intact snapshot in --journal",
     )
-    fleet_run.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="record every fleet event / budget gauge as "
-             "fleet.jsonl plus trace.json under DIR",
-    )
+    _add_shared(fleet_run, "--telemetry")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the tuning-as-a-service config-knowledge daemon",
+    serve = _command(
+        sub, "serve", _cmd_serve,
+        "run the tuning-as-a-service config-knowledge daemon",
     )
     serve.add_argument(
         "--store", required=True, metavar="DIR",
@@ -262,22 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacity", type=int, default=None,
         help="LRU entry capacity (default: 4096)",
     )
-    serve.add_argument(
-        "--faults", default=None, metavar="PLAN.JSON",
-        help="fault-injection plan for the server-side "
-             "service.server site (chaos testing)",
-    )
-    serve.add_argument(
-        "--telemetry", default=None, metavar="DIR",
-        help="record the daemon's request stream (per-op counters, "
-             "serve spans with adopted client trace context) as "
-             "daemon.jsonl under DIR",
-    )
+    _add_shared(serve, "--faults", "--telemetry")
 
-    figures = sub.add_parser(
-        "figures",
-        help="regenerate registered paper figures/tables from the "
-             "figure registry (txt / json / csv backends)",
+    figures = _command(
+        sub, "figures", _cmd_figures,
+        "regenerate registered paper figures/tables from the "
+        "figure registry (txt / json / csv backends)",
     )
     figures.add_argument(
         "names", nargs="*", metavar="NAME",
@@ -296,19 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated output backends "
              f"(default: {','.join(FIGURE_FORMATS)})",
     )
-    figures.add_argument("--repeats", type=int, default=3)
-    figures.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size for sweep-backed figures",
-    )
-    figures.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute sweep cells and record nothing",
-    )
-    figures.add_argument(
-        "--cache-dir", default=str(DEFAULT_CACHE_DIR),
-        help=f"store of completed cells (default: {DEFAULT_CACHE_DIR})",
-    )
+    _add_shared(figures, "--repeats", "--workers", "--no-cache",
+                "--cache-dir")
     figures.add_argument(
         "--bench-dir", default=None, metavar="DIR",
         help="directory of per-commit BENCH_*.json snapshots "
@@ -323,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     analysis_sub = analysis.add_subparsers(
         dest="analysis_command", required=True
     )
-    compare = analysis_sub.add_parser(
-        "compare",
-        help="diff two BENCH_*.json result sets; exit 1 on regression",
+    compare = _command(
+        analysis_sub, "compare", _cmd_compare,
+        "diff two BENCH_*.json result sets; exit 1 on regression",
     )
     compare.add_argument("old", metavar="OLD",
                          help="baseline directory of BENCH_*.json files")
@@ -344,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     surrogate_sub = surrogate.add_subparsers(
         dest="surrogate_command", required=True
     )
-    fit = surrogate_sub.add_parser(
-        "fit",
-        help="fold measurement stores into a training corpus and fit "
-             "the surrogate model",
+    fit = _command(
+        surrogate_sub, "fit", _cmd_surrogate_fit,
+        "fold measurement stores into a training corpus and fit "
+        "the surrogate model",
     )
     fit.add_argument(
         "--cache-dir", action="append", default=[], metavar="DIR",
@@ -372,21 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--dim", type=int, default=None,
                      help="hashed feature dimensionality (default: 1024)")
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument(
-        "--faults", default=None, metavar="PLAN.JSON",
-        help="fault plan arming the surrogate.corpus / surrogate.fit "
-             "sites (chaos testing)",
-    )
-    srep = surrogate_sub.add_parser(
-        "report", help="print a saved model's fit-quality report"
+    _add_shared(fit, "--seed", "--faults")
+    srep = _command(
+        surrogate_sub, "report", _cmd_surrogate_report,
+        "print a saved model's fit-quality report",
     )
     srep.add_argument("model", metavar="MODEL.JSON")
 
-    trace = sub.add_parser(
-        "trace",
-        help="render the per-region decision timeline from a "
-             "telemetry directory",
+    trace = _command(
+        sub, "trace", _cmd_trace,
+        "render the per-region decision timeline from a "
+        "telemetry directory",
     )
     trace.add_argument("dir", metavar="DIR",
                        help="directory written by --telemetry")
@@ -399,10 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
              "decision timeline",
     )
 
-    monitor = sub.add_parser(
-        "monitor",
-        help="dashboard + SLO evaluation over a telemetry directory; "
-             "exit 1 if any SLO rule fires",
+    monitor = _command(
+        sub, "monitor", _cmd_monitor,
+        "dashboard + SLO evaluation over a telemetry directory; "
+        "exit 1 if any SLO rule fires",
     )
     monitor.add_argument("dir", metavar="DIR",
                          help="directory written by --telemetry")
@@ -433,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="--follow: stop after N polls (default: until Ctrl-C)",
     )
 
-    profile = sub.add_parser(
-        "profile",
-        help="deterministic virtual-clock sampling profile of a "
-             "telemetry directory's spans, grouped by ancestry path",
+    profile = _command(
+        sub, "profile", _cmd_profile,
+        "deterministic virtual-clock sampling profile of a "
+        "telemetry directory's spans, grouped by ancestry path",
     )
     profile.add_argument("dir", metavar="DIR",
                          help="directory written by --telemetry")
@@ -451,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"hot paths shown (default: {DEFAULT_TOP})",
     )
 
-    report = sub.add_parser(
-        "report", help="summarize a recorded run's telemetry"
+    report = _command(
+        sub, "report", _cmd_report,
+        "summarize a recorded run's telemetry",
     )
     report.add_argument(
         "--telemetry", required=True, metavar="DIR",
@@ -462,23 +454,82 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _telemetry_session(directory: str, filename: str, **meta):
+def _user_errors(*kinds: type[Exception]):
+    """Turn an exception of ``kinds`` raised in the block into the
+    CLI's one-line ``error: ...`` exit instead of a traceback."""
+    try:
+        yield
+    except kinds as exc:
+        # a KeyError's str() quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise SystemExit(f"error: {message}") from exc
+
+
+@contextmanager
+def _telemetry_session(directory: str | None, filename: str, **meta):
     """A :func:`~repro.telemetry.telemetry_session` writing
     ``DIR/filename`` for the span of one CLI command; always
-    regenerates ``trace.json``.  The command's trace is rooted at a deterministic
-    per-invocation id, so `repro trace --tree` stitches one tree per
-    CLI command."""
+    regenerates ``trace.json``.  The command's trace is rooted at a
+    deterministic per-invocation id, so `repro trace --tree` stitches
+    one tree per CLI command.  Without a ``directory`` (no
+    ``--telemetry``) it records nothing."""
+    if not directory:
+        yield
+        return
     out = Path(directory)
     try:
         with telemetry_session(
             JsonlSink(out / filename), trace=root_context(**meta), **meta
-        ) as session:
-            yield session
+        ):
+            yield
     finally:
         export_chrome_trace(out)
 
 
-def _cmd_list() -> str:
+def _load_faults(path: str | None) -> FaultPlan | None:
+    if path is None:
+        return None
+    # load_fault_plan wraps file errors, but keep OSError here too so an
+    # unanticipated filesystem failure still surfaces as one line.
+    with _user_errors(FaultPlanError, OSError):
+        return load_fault_plan(path)
+
+
+def _setup_from_args(
+    args: argparse.Namespace,
+    cap_w: float | None = None,
+    cap_schedule: str | None = None,
+) -> tuple[Application, ExperimentSetup]:
+    """The application and measurement setup the setup flags name.
+
+    The one place a bad setup value becomes an ``error:`` exit: an
+    unknown machine or workload, ``--repeats`` below 1, a cap (or cap
+    schedule) on a machine without capping privilege, an unreadable
+    fault plan or cap schedule."""
+    with _user_errors(ValueError, OSError):
+        spec = machine_by_name(args.machine)
+        app = application_by_name(args.app, args.workload)
+        return app, ExperimentSetup(
+            spec=spec, cap_w=cap_w, repeats=args.repeats,
+            seed=args.seed, fault_plan=_load_faults(args.faults),
+            cap_schedule=(
+                None if cap_schedule is None
+                else load_cap_schedule(cap_schedule)
+            ),
+        )
+
+
+def _store_from_args(args: argparse.Namespace) -> SweepJournal | None:
+    """The sweep store the store flags name (``None`` with
+    ``--no-cache``), after checking ``--workers``."""
+    if args.workers < 1:
+        raise SystemExit(
+            f"error: --workers must be >= 1, got {args.workers}"
+        )
+    return None if args.no_cache else SweepJournal.in_dir(args.cache_dir)
+
+
+def _cmd_list(_args: argparse.Namespace) -> str:
     rows = [
         ("applications", ", ".join(_APPS)),
         ("workloads", "sp/bt: B, C; lulesh: 45, 60"),
@@ -490,31 +541,8 @@ def _cmd_list() -> str:
     return format_table(("what", "values"), rows)
 
 
-def _cmd_search_space(args: argparse.Namespace) -> str:
-    # validates the machine name as a side effect
-    machine_by_name(args.machine)
+def _cmd_search_space(_args: argparse.Namespace) -> str:
     return generate_figure("table1_search_space").text
-
-
-def _load_faults(path: str | None) -> FaultPlan | None:
-    if path is None:
-        return None
-    try:
-        return load_fault_plan(path)
-    except (FaultPlanError, OSError) as exc:
-        # load_fault_plan wraps file errors, but keep OSError here too
-        # so an unanticipated filesystem failure still surfaces as one
-        # actionable line instead of a traceback.
-        raise SystemExit(f"error: {exc}") from exc
-
-
-def _load_capsched(path: str | None) -> CapSchedule | None:
-    if path is None:
-        return None
-    try:
-        return load_cap_schedule(path)
-    except (CapScheduleError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _service_chain(
@@ -528,30 +556,19 @@ def _service_chain(
         return None
     from repro.service.source import default_chain
 
-    try:
+    # a ValueError is a malformed host:port string
+    with _user_errors(ValueError):
         return default_chain(
             address,
             faults=make_injector(fault_plan, salt="service-client"),
             deadline_s=deadline_s,
         )
-    except ValueError as exc:
-        # a malformed host:port string
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    spec = machine_by_name(args.machine)
-    app = application_by_name(args.app, args.workload)
-    try:
-        setup = ExperimentSetup(
-            spec=spec, cap_w=args.cap, repeats=args.repeats,
-            seed=args.seed, fault_plan=_load_faults(args.faults),
-            cap_schedule=_load_capsched(args.cap_schedule),
-        )
-    except ValueError as exc:
-        # e.g. --cap on a machine without capping privilege, or
-        # --repeats 0: refuse loudly instead of mis-reporting.
-        raise SystemExit(f"error: {exc}") from exc
+    app, setup = _setup_from_args(
+        args, cap_w=args.cap, cap_schedule=args.cap_schedule
+    )
     history = HistoryStore(args.history) if args.history else None
     source = _service_chain(
         args.service, setup.fault_plan, args.service_deadline
@@ -597,9 +614,20 @@ def _cmd_run(args: argparse.Namespace) -> str:
         else:
             source.sources.append(cold)
 
-    def _execute():
+    # RunAbortedError is an aborted run, OSError a --checkpoint path
+    # that cannot be read, ValueError e.g. --checkpoint with a
+    # non-online strategy
+    with (
+        _user_errors(RunAbortedError, OSError, ValueError),
+        _telemetry_session(
+            args.telemetry, "telemetry.jsonl",
+            command="run", app=app.label, machine=setup.spec.name,
+            strategy=args.strategy, cap_w=args.cap,
+            seed=args.seed, repeats=args.repeats,
+        ),
+    ):
         try:
-            return run_strategy(
+            result = run_strategy(
                 args.strategy, app, setup, history=history,
                 checkpoint_path=args.checkpoint,
                 source=source,
@@ -614,27 +642,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
                     "run.aborted", region=exc.region, reason=exc.reason
                 )
             raise
-
-    try:
-        if args.telemetry:
-            with _telemetry_session(
-                args.telemetry, "telemetry.jsonl",
-                command="run", app=app.label, machine=spec.name,
-                strategy=args.strategy, cap_w=args.cap,
-                seed=args.seed, repeats=args.repeats,
-            ):
-                result = _execute()
-        else:
-            result = _execute()
-    except (RunAbortedError, OSError) as exc:
-        # an aborted run, or a --checkpoint path that cannot be read
-        raise SystemExit(f"error: {exc}") from exc
-    except ValueError as exc:
-        # e.g. --checkpoint with a non-online strategy
-        raise SystemExit(f"error: {exc}") from exc
     cap = "TDP" if args.cap is None else f"{args.cap:g}W"
     lines = [
-        f"{app.label} on {spec.name} @ {cap}, {args.strategy} "
+        f"{app.label} on {setup.spec.name} @ {cap}, {args.strategy} "
         f"({args.repeats} repeats, {setup.summary_mode}):",
         f"  time   : {result.time_s:.3f} s",
     ]
@@ -666,47 +676,30 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    spec = machine_by_name(args.machine)
-    app = application_by_name(args.app, args.workload)
+    app, setup = _setup_from_args(args)
+    spec = setup.spec
     caps = (
         CRILL_POWER_LEVELS
         if spec.supports_power_cap
         else (spec.tdp_w,)
     )
-    if args.workers < 1:
-        raise SystemExit(
-            f"error: --workers must be >= 1, got {args.workers}"
-        )
-    journal = (
-        None if args.no_cache else SweepJournal.in_dir(args.cache_dir)
-    )
-    fault_plan = _load_faults(args.faults)
+    journal = _store_from_args(args)
     executor = ParallelSweepExecutor(
         max_workers=args.workers,
         journal=journal,
-        faults=make_injector(fault_plan),
+        faults=make_injector(setup.fault_plan),
     )
-    def _run_sweep():
-        return power_sweep(
+    # an OSError is e.g. a --cache-dir that is a file
+    with _user_errors(OSError), _telemetry_session(
+        args.telemetry, "sweep.jsonl",
+        command="sweep", app=app.label, machine=spec.name,
+        repeats=args.repeats, seed=args.seed, workers=args.workers,
+    ):
+        sweep = power_sweep(
             app, spec, caps, repeats=args.repeats, seed=args.seed,
-            executor=executor, fault_plan=fault_plan,
+            executor=executor, fault_plan=setup.fault_plan,
             telemetry_dir=args.telemetry, service=args.service,
         )
-
-    try:
-        if args.telemetry:
-            with _telemetry_session(
-                args.telemetry, "sweep.jsonl",
-                command="sweep", app=app.label, machine=spec.name,
-                repeats=args.repeats, seed=args.seed,
-                workers=args.workers,
-            ):
-                sweep = _run_sweep()
-        else:
-            sweep = _run_sweep()
-    except OSError as exc:
-        # e.g. a --cache-dir that is a file
-        raise SystemExit(f"error: {exc}") from exc
     lines = [
         render_sweep(
             sweep, f"{app.label} on {spec.name}: strategy comparison"
@@ -740,7 +733,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         synthesize_fleet,
     )
 
-    try:
+    with _user_errors(FleetPlanError):
         if args.plan is not None:
             plan = load_fleet_plan(args.plan)
         else:
@@ -750,8 +743,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 seed=args.seed,
                 max_steps=args.max_steps,
             )
-    except FleetPlanError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     if args.resume and args.journal is None:
         raise SystemExit("error: --resume requires --journal")
     sim = FleetSimulation(
@@ -760,22 +751,16 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         journal=FleetJournal(args.journal) if args.journal else None,
         resume=args.resume,
     )
-    try:
-        if args.telemetry:
-            with _telemetry_session(
-                args.telemetry, "fleet.jsonl",
-                command="fleet", nodes=len(plan.nodes),
-                global_cap_w=plan.global_cap_w, seed=plan.seed,
-            ):
-                result = sim.run()
-        else:
-            result = sim.run()
-    except LogMismatchError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    with _user_errors(LogMismatchError), _telemetry_session(
+        args.telemetry, "fleet.jsonl",
+        command="fleet", nodes=len(plan.nodes),
+        global_cap_w=plan.global_cap_w, seed=plan.seed,
+    ):
+        result = sim.run()
     return render_fleet(result)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> None:
     """Run the tuning-service daemon until shutdown/Ctrl-C."""
     from repro.service.daemon import serve_forever
 
@@ -783,7 +768,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: --capacity must be >= 1, got {args.capacity}"
         )
-    try:
+    # an OSError is e.g. a taken port or a host that cannot be bound
+    with _user_errors(OSError):
         serve_forever(
             args.store,
             host=args.host,
@@ -792,10 +778,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             telemetry_dir=args.telemetry,
         )
-    except OSError as exc:
-        # e.g. the port is taken or the host cannot be bound
-        raise SystemExit(f"error: {exc}") from exc
-    return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> str:
@@ -819,20 +801,14 @@ def _cmd_figures(args: argparse.Namespace) -> str:
             f"error: unknown format(s) {', '.join(bad) or '(none)'}; "
             f"choose from {', '.join(FIGURE_FORMATS)}"
         )
-    if args.workers < 1:
-        raise SystemExit(
-            f"error: --workers must be >= 1, got {args.workers}"
-        )
     options = GenOptions(
         repeats=args.repeats,
         workers=args.workers,
-        cache=(
-            None if args.no_cache else SweepJournal.in_dir(args.cache_dir)
-        ),
+        cache=_store_from_args(args),
         bench_dir=args.bench_dir,
     )
     lines: list[str] = []
-    try:
+    with _user_errors(UnknownFigureError, ValueError):
         generated = generate_figures(
             args.names or None,
             out_dir=args.out,
@@ -840,10 +816,6 @@ def _cmd_figures(args: argparse.Namespace) -> str:
             options=options,
             progress=lambda name: lines.append(f"[figures] {name} ..."),
         )
-    except UnknownFigureError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     for artifact in generated:
         written = ", ".join(
             str(artifact.paths[fmt]) for fmt in formats
@@ -857,20 +829,10 @@ def _cmd_figures(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analysis(args: argparse.Namespace) -> tuple[str, int]:
-    # only one analysis subcommand today; keep the dispatch explicit
-    # so the next one (e.g. `analysis trend`) slots in cleanly.
-    if args.analysis_command == "compare":
-        try:
-            report = compare_dirs(
-                args.old, args.new, tolerance=args.tolerance
-            )
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        return render_comparison(report), (0 if report.ok else 1)
-    raise SystemExit(
-        f"error: unknown analysis command {args.analysis_command!r}"
-    )
+def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
+    with _user_errors(FileNotFoundError, ValueError):
+        report = compare_dirs(args.old, args.new, tolerance=args.tolerance)
+    return render_comparison(report), (0 if report.ok else 1)
 
 
 def _render_fit_report(report) -> str:
@@ -897,28 +859,26 @@ def _render_fit_report(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_surrogate(args: argparse.Namespace) -> str:
+def _cmd_surrogate_report(args: argparse.Namespace) -> str:
+    from repro.surrogate import SurrogateError, load_model
+
+    with _user_errors(SurrogateError):
+        model = load_model(args.model)
+    return _render_fit_report(model.report)
+
+
+def _cmd_surrogate_fit(args: argparse.Namespace) -> str:
     import json as _json
 
     from repro.surrogate import (
         CorpusStats,
-        SurrogateError,
         fit_surrogate,
         fold_cache_dir,
         fold_telemetry_dir,
-        load_model,
         save_corpus,
         save_model,
     )
 
-    if args.surrogate_command == "report":
-        try:
-            model = load_model(args.model)
-        except SurrogateError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        return _render_fit_report(model.report)
-
-    # fit
     if not (args.cache_dir or args.telemetry):
         raise SystemExit(
             "error: nothing to fold - pass at least one of "
@@ -969,11 +929,12 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+_MISSING_DIR = (FileNotFoundError, NotADirectoryError)
+
+
 def _load_telemetry(directory: str):
-    try:
+    with _user_errors(*_MISSING_DIR):
         return load_telemetry_dir(directory)
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _cmd_trace(args: argparse.Namespace) -> str:
@@ -983,26 +944,23 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return render_decision_timeline(loaded, region=args.region)
 
 
-def _cmd_monitor(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_monitor(args: argparse.Namespace) -> tuple[str | None, int]:
     if args.window <= 0:
         raise SystemExit(
             f"error: --window must be > 0, got {args.window}"
         )
-    try:
+    with _user_errors(SloConfigError, *_MISSING_DIR):
         if args.follow:
             code = monitor_follow(
                 args.dir, args.slo,
                 window_s=args.window, top_k=args.top,
                 interval_s=args.interval, max_polls=args.max_polls,
             )
-            return "", code
-        return monitor_once(
+            return None, code
+        text, code = monitor_once(
             args.dir, args.slo, window_s=args.window, top_k=args.top
         )
-    except SloConfigError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    return text or None, code
 
 
 def _cmd_profile(args: argparse.Namespace) -> str:
@@ -1010,12 +968,10 @@ def _cmd_profile(args: argparse.Namespace) -> str:
         raise SystemExit(
             f"error: --interval must be > 0, got {args.interval}"
         )
-    try:
+    with _user_errors(*_MISSING_DIR):
         return render_profile(
             args.dir, interval_s=args.interval, top=args.top
         )
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
@@ -1026,38 +982,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.log_level:
         configure_logging(level=args.log_level)
-    if args.command == "list":
-        print(_cmd_list())
-    elif args.command == "search-space":
-        print(_cmd_search_space(args))
-    elif args.command == "run":
-        print(_cmd_run(args))
-    elif args.command == "sweep":
-        print(_cmd_sweep(args))
-    elif args.command == "fleet":
-        print(_cmd_fleet(args))
-    elif args.command == "serve":
-        return _cmd_serve(args)
-    elif args.command == "figures":
-        print(_cmd_figures(args))
-    elif args.command == "analysis":
-        text, code = _cmd_analysis(args)
+    out = args.handler(args)
+    text, code = out if isinstance(out, tuple) else (out, 0)
+    if text is not None:
         print(text)
-        return code
-    elif args.command == "surrogate":
-        print(_cmd_surrogate(args))
-    elif args.command == "trace":
-        print(_cmd_trace(args))
-    elif args.command == "monitor":
-        text, code = _cmd_monitor(args)
-        if text:
-            print(text)
-        return code
-    elif args.command == "profile":
-        print(_cmd_profile(args))
-    elif args.command == "report":
-        print(_cmd_report(args))
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover
