@@ -238,8 +238,8 @@ def fleet_survival_records(source) -> list[Record]:
     """Survival-rate table for one fleet run.
 
     ``source`` is either a fleet journal path (the last verified
-    snapshot is the authority - exactly what ``repro fleet run
-    --resume`` would restore; the file is only read) or a
+    snapshot is the authority - what running its run again would
+    restore; the file is only read) or a
     :func:`repro.fleet.fleet_result_to_json` mapping.  One row per
     degradation kind observed in the run - how often it
     fired, which nodes it hit, how many of those nodes nonetheless

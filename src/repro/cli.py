@@ -79,7 +79,6 @@ from repro.telemetry import (
     render_metrics_summary,
     telemetry_session,
 )
-from repro.util.jsonlog import LogMismatchError
 from repro.util.log import LEVELS as _LOG_LEVELS
 from repro.util.log import configure as configure_logging
 from repro.util.tables import format_table
@@ -113,9 +112,9 @@ _SHARED_FLAGS = {
     ),
     "--cache-dir": dict(
         default=str(DEFAULT_CACHE_DIR),
-        help="store of completed cells (a crash-safe cells.jsonl) "
-             "and shared tuned histories; a killed sweep resumes by "
-             f"running again (default: {DEFAULT_CACHE_DIR})",
+        help="store of completed cells (a crash-safe cells.jsonl); "
+             "a killed sweep resumes by running again (default: "
+             f"{DEFAULT_CACHE_DIR})",
     ),
     "--telemetry": dict(
         default=None, metavar="DIR",
@@ -254,12 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(fleet_run, "--faults")
     fleet_run.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="fsync'd per-step fleet journal; pair with --resume to "
-             "continue a killed run byte-identically",
-    )
-    fleet_run.add_argument(
-        "--resume", action="store_true",
-        help="resume from the last intact snapshot in --journal",
+        help="fsync'd per-step fleet journal; a killed run resumes "
+             "byte-identically by running again with the same PATH",
     )
     _add_shared(fleet_run, "--telemetry")
 
@@ -743,15 +738,12 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 seed=args.seed,
                 max_steps=args.max_steps,
             )
-    if args.resume and args.journal is None:
-        raise SystemExit("error: --resume requires --journal")
     sim = FleetSimulation(
         plan,
         _load_faults(args.faults),
         journal=FleetJournal(args.journal) if args.journal else None,
-        resume=args.resume,
     )
-    with _user_errors(LogMismatchError), _telemetry_session(
+    with _telemetry_session(
         args.telemetry, "fleet.jsonl",
         command="fleet", nodes=len(plan.nodes),
         global_cap_w=plan.global_cap_w, seed=plan.seed,

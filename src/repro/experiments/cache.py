@@ -12,10 +12,8 @@ the sweep journal (:mod:`repro.experiments.journal`).
 Layout of a store directory (default ``results/.cache``)::
 
     results/.cache/
-        cells.jsonl             # the journal: one record per completed
-                                # cell or ARCS-Online repeat
-        history/<digest>.jsonl  # shared tuned HistoryStore per
-                                # (app, machine, cap) - see parallel.py
+        cells.jsonl   # the journal: one record per completed cell or
+                      # ARCS-Online repeat
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.experiments.serialize import (
     overhead_to_json as _overhead_to_json,
     run_from_json as _run_from_json,
     run_to_json as _run_to_json,
-    tuning_context,
 )
 from repro.openmp.types import OMPConfig
 from repro.workloads.base import Application
@@ -105,14 +102,3 @@ def result_from_json(blob: dict) -> StrategyRunResult:
         cap_changes=tuple(blob.get("cap_changes", ())),
     )
 
-
-def history_path(
-    root: str | Path, app: Application, setup: ExperimentSetup
-) -> Path:
-    """Where the shared tuned history for this (app, machine, cap)
-    lives under the store directory ``root``; offline cells replay it
-    instead of re-tuning.  Keyed by the tuning context alone: strategy,
-    repeats and the online budget do not change what exhaustive tuning
-    finds."""
-    digest = context_digest(CACHE_SCHEMA_VERSION, tuning_context(app, setup))
-    return Path(root) / "history" / f"{digest}.jsonl"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.core.config import search_space_for
 from repro.core.history import HistoryStore
-from repro.experiments.cache import history_path
 from repro.experiments.parallel import ParallelSweepExecutor, SweepTask
 from repro.faults.plan import FaultPlan
 from repro.experiments.runner import (
@@ -256,8 +255,7 @@ def power_sweep(
     strictly serial and in-process; pass a
     :class:`ParallelSweepExecutor` with ``max_workers`` to fan cells
     out over a process pool, or with a ``journal`` to memoize completed
-    cells (and, under ``history/`` beside it, the exhaustive tuning
-    history of the offline cells) on disk.  ``telemetry_dir`` makes
+    cells on disk.  ``telemetry_dir`` makes
     every cell write its own ``task-<run_id>.jsonl`` trace there
     (telemetry never changes what is measured, only what is
     recorded).  ``service`` points offline
@@ -268,7 +266,6 @@ def power_sweep(
     """
     if executor is None:
         executor = ParallelSweepExecutor()
-    journal = executor.journal
 
     tasks: list[SweepTask] = []
     labels: list[str] = []
@@ -282,19 +279,11 @@ def power_sweep(
             seed=seed,
             fault_plan=fault_plan,
         )
-        shared_history = (
-            None
-            if journal is None
-            else str(history_path(journal.path.parent, app, setup))
-        )
         tasks.extend(
             SweepTask(
                 app=app,
                 setup=setup,
                 strategy=strategy,
-                history_path=(
-                    shared_history if strategy == "arcs-offline" else None
-                ),
                 telemetry_dir=telemetry_dir,
                 service=service,
             )

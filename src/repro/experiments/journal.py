@@ -46,7 +46,6 @@ class SweepJournal(JsonLog):
     """Append-only log of completed cells and ARCS-Online repeats."""
 
     schema = JOURNAL_SCHEMA_VERSION
-    name = "sweep"
 
     @classmethod
     def in_dir(cls, directory: str | Path) -> "SweepJournal":

@@ -1,18 +1,19 @@
 """Process-pool sweep execution with memoized results.
 
 ``power_sweep`` historically ran its (strategy x cap) grid strictly
-serially in one process and re-ran exhaustive tuning from scratch on
-every invocation.  This module supplies the two missing pieces:
+serially in one process and measured every cell again on every
+invocation.  This module supplies the two missing pieces:
 
 * :class:`ParallelSweepExecutor` fans independent sweep cells out over
   a :class:`concurrent.futures.ProcessPoolExecutor` with a per-task
   timeout and bounded retry, falling back to exact in-process serial
   execution at ``max_workers=1`` (the determinism-test path);
 * each cell is looked up in a :class:`~repro.experiments.journal.
-  SweepJournal` first and appended to it when it completes, and
-  offline cells share one on-disk tuned
-  :class:`~repro.core.history.HistoryStore` per (app, machine, cap) so
-  exhaustive tuning runs once, not once per caller.
+  SweepJournal` first and appended to it when it completes, so a
+  completed cell is never measured twice.  A cell missing from the
+  journal is computed cold: offline cells tune into their own
+  in-memory :class:`~repro.core.history.HistoryStore`, so a warm
+  store gives the same result as a cold one.
 
 Every task is a pure function of its :class:`SweepTask` spec, so
 results are bit-identical whether computed inline, in a worker
@@ -35,7 +36,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.history import CorruptHistoryError, HistoryStore
+from repro.core.history import CorruptHistoryError
 from repro.experiments.cache import experiment_digest, result_from_json
 from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import (
@@ -114,9 +115,6 @@ class SweepTask:
     #: everything the journal and run-id digests read.
     setup: ExperimentSetup
     strategy: str
-    #: path of the shared tuned history (offline cells only); ``None``
-    #: keeps the old behaviour of an in-memory throwaway store.
-    history_path: str | None = None
     #: directory receiving this cell's telemetry JSONL (``None`` =
     #: telemetry off).  Deliberately *not* part of ``setup``, so
     #: turning tracing on never invalidates journal digests.
@@ -155,10 +153,6 @@ def task_run_id(task: SweepTask) -> str:
 def run_sweep_task(task: SweepTask) -> StrategyRunResult:
     """Execute one sweep cell (runs inside worker processes).
 
-    Offline cells with a ``history_path`` load the shared tuned
-    history first; when it already holds this experiment key the
-    exhaustive tuning phase is skipped entirely.
-
     With a ``telemetry_dir``, the cell runs under its own telemetry
     bus writing ``task-<run_id>.jsonl`` into that directory - one file
     per cell, whether the cell executes inline or in a worker process,
@@ -167,27 +161,23 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
 
     With a ``service`` address, offline cells consult the tuning
     daemon through a degradation-ordered :func:`~repro.service.source.
-    default_chain` (service -> process memo) after the shared history
-    and before tuning fresh, and publish what they tune.  The chain's
-    client draws the ``service.*`` fault sites from the task's fault
-    plan (salted separately from the runtime's injector), so network
-    failure modes are deterministic per cell.
+    default_chain` (service -> process memo) before tuning fresh, and
+    publish what they tune.  The chain's client draws the
+    ``service.*`` fault sites from the task's fault plan (salted
+    separately from the runtime's injector), so network failure modes
+    are deterministic per cell.
     """
-    history = None
     source = None
-    if task.strategy == "arcs-offline":
-        if task.history_path is not None:
-            history = HistoryStore(task.history_path)
-        if task.service is not None:
-            from repro.faults.inject import make_injector
-            from repro.service.source import default_chain
+    if task.strategy == "arcs-offline" and task.service is not None:
+        from repro.faults.inject import make_injector
+        from repro.service.source import default_chain
 
-            source = default_chain(
-                task.service,
-                faults=make_injector(
-                    task.setup.fault_plan, salt="service-client"
-                ),
-            )
+        source = default_chain(
+            task.service,
+            faults=make_injector(
+                task.setup.fault_plan, salt="service-client"
+            ),
+        )
     if task.telemetry_dir is None:
         session = nullcontext()
     else:
@@ -217,7 +207,6 @@ def run_sweep_task(task: SweepTask) -> StrategyRunResult:
             task.strategy,
             task.app,
             task.setup,
-            history=history,
             source=source,
         )
 
@@ -319,8 +308,7 @@ class ParallelSweepExecutor:
         experiment digest it holds is a hit, served without running;
         every other cell is appended durably by this process when it
         completes, so a killed sweep resumes by running again against
-        the same journal.  Offline cells keep their shared tuned
-        history under ``history/`` beside it.
+        the same journal.
     faults:
         Optional :class:`~repro.faults.inject.FaultInjector` consulted
         once per task submission at the ``sweep.worker`` site; a

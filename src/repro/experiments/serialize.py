@@ -12,8 +12,8 @@ They used to live inside :mod:`repro.experiments.cache`; they are a
 leaf module now so that the runner can share them without creating an
 import cycle through the cache (which imports the runner).
 :func:`tuning_context` and :func:`measurement_context` are here for
-the same reason: the journal's cell and repeat keys, the shared tuned
-history and the service knowledge key all read them.
+the same reason: the journal's cell and repeat keys and the service
+knowledge key all read them.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ def app_fingerprint(app: Application) -> str:
 def tuning_context(app: Application, setup: "ExperimentSetup") -> dict:
     """The fields that key one tuning context: application (name,
     workload, content fingerprint), machine, power cap, seed, noise
-    level and fault plan.  Every offline cell of one context replays
-    the same tuned history; measurement keys add their own fields on
-    top.  A clean setup omits ``faults``, so clean digests are the ones
+    level and fault plan.  Every offline tune of one context finds the
+    same configs, so the service shares them under this key;
+    measurement keys add their own fields on top.  A clean setup omits ``faults``, so clean digests are the ones
     written before fault plans existed."""
     context = {
         "app": app.name,

@@ -289,7 +289,7 @@ def save_fault_plan(plan: FaultPlan, path: str | Path) -> None:
 
 def plan_fingerprint(plan: FaultPlan | None) -> str | None:
     """Short content fingerprint of a plan; ``None`` for empty/absent
-    plans so clean-run digests and journal headers omit the key."""
+    plans so clean-run digests omit the key."""
     if plan is None or not plan:
         return None
     blob = json.dumps(

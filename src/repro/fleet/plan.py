@@ -6,9 +6,9 @@ fully determines the run.  It names every node (machine spec,
 application, staggered start, per-node seed salt), the global power
 budget, and the allocator / membership tuning knobs.  Plans serialize
 to JSON (``repro fleet run --plan fleetplan.json``,
-``examples/fleetplan.json``) and carry a content fingerprint used by
-the fleet journal header so ``--resume`` refuses a journal written by
-a different fleet.
+``examples/fleetplan.json``) and carry a content fingerprint that is
+part of the fleet journal's snapshot digest, so a run never restores
+a snapshot another fleet wrote.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def save_fleet_plan(plan: FleetPlan, path: str | Path) -> None:
 
 
 def fleet_plan_fingerprint(plan: FleetPlan) -> str:
-    """Short content fingerprint (journal-header identity)."""
+    """Short content fingerprint (part of the journal digest)."""
     blob = json.dumps(
         plan.to_json(), sort_keys=True, separators=(",", ":")
     )

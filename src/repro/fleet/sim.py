@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.serialize import context_digest
 from repro.faults.inject import FaultInjector, make_injector
 from repro.faults.plan import (
     DEFAULT_FLEET_FLAP_STEPS,
@@ -43,7 +44,7 @@ from repro.faults.plan import (
 )
 from repro.fleet.allocator import BudgetAllocator, NodeBudgetInfo
 from repro.fleet.events import FleetEvent
-from repro.fleet.journal import FleetJournal
+from repro.fleet.journal import FLEET_JOURNAL_SCHEMA, FleetJournal
 from repro.fleet.membership import (
     DEAD,
     QUARANTINED,
@@ -138,12 +139,9 @@ class FleetSimulation:
         fault_plan: FaultPlan | None = None,
         *,
         journal: FleetJournal | None = None,
-        resume: bool = False,
         concurrency: int | None = None,
         stop_after: int | None = None,
     ) -> None:
-        if resume and journal is None:
-            raise ValueError("--resume requires a fleet journal")
         if stop_after is not None and stop_after < 0:
             raise ValueError(
                 f"stop_after must be >= 0, got {stop_after}"
@@ -151,7 +149,6 @@ class FleetSimulation:
         self.plan = plan
         self.fault_plan = fault_plan
         self.journal = journal
-        self.resume = resume
         # Tunes run one node at a time.  The keyword survives only for
         # callers that spell that out (the host-time benchmark passes
         # ``concurrency=1``); any other width is refused.
@@ -178,24 +175,26 @@ class FleetSimulation:
         self._fresh_reports = 0
         #: harness-only kill switch (the chaos tests' simulated
         #: ``kill -9``): stop after journaling this many steps.  Not
-        #: part of the plan, so it never touches the journal header.
+        #: part of the plan, so it never touches the journal digest.
         self.stop_after = stop_after
+        #: what the journal keys this run's snapshots by.
+        self.digest = context_digest(
+            FLEET_JOURNAL_SCHEMA,
+            {
+                "plan": fleet_plan_fingerprint(plan),
+                "faults": plan_fingerprint(fault_plan),
+                "seed": plan.seed,
+                "global_cap_w": plan.global_cap_w,
+                "nodes": len(plan.nodes),
+            },
+        )
 
     # ------------------------------------------------------------------
-    def _header(self) -> dict:
-        return {
-            "plan": fleet_plan_fingerprint(self.plan),
-            "faults": plan_fingerprint(self.fault_plan),
-            "seed": self.plan.seed,
-            "global_cap_w": self.plan.global_cap_w,
-            "nodes": len(self.plan.nodes),
-        }
-
     def run(self) -> FleetResult:
+        """Run to completion, first restoring the newest snapshot of
+        this run the journal holds (running again is the resume)."""
         if self.journal is not None:
-            snap = self.journal.last_snapshot(
-                self.journal.open(self._header(), resume=self.resume)
-            )
+            snap = self.journal.load_last_snapshot(self.digest)
             if snap is not None:
                 self.step, state = snap
                 self._restore(state)
@@ -209,7 +208,7 @@ class FleetSimulation:
             self._run_step(self.step)
             if self.journal is not None:
                 self.journal.append_snapshot(
-                    self.step, self._snapshot()
+                    self.digest, self.step, self._snapshot()
                 )
         return self._build_result()
 

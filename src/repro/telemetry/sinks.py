@@ -109,7 +109,7 @@ def load_telemetry_dir(directory: str | Path) -> list[tuple[str, list[dict]]]:
     A run directory holds one ``telemetry.jsonl``; a sweep directory
     holds the parent's ``sweep.jsonl`` plus one ``task-<runid>.jsonl``
     per cell (including cells from a killed sweep stitched back in by
-    ``--resume``).
+    running it again).
     """
     loaded = []
     for path in telemetry_files(directory):

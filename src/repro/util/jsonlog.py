@@ -8,17 +8,16 @@ thin typed adapters over :class:`JsonLog`.
 
 Every line has one fixed layout (pure ASCII)::
 
-    {"crc":"<8 hex>","schema":<int>,"head":<header object>}   first line only
     {"crc":"<8 hex>","schema":<int>,"rec":<record object>}
 
 ``crc`` is the CRC-32 of the line's bytes after the ``"crc"`` field,
 exactly as they were written, so verifying a line hashes one slice and
 never re-serializes it.  Every read verifies every line.  A line is
-*damaged* when it fails its checksum, is blank, is a header anywhere
-but first, or is the unterminated tail a crash mid-append leaves
-behind; it is *foreign* when it verifies but carries another schema
-(a layout change bumps ``schema``).  Records must be finite: ``encode``
-refuses ``NaN``/``inf`` (``ValueError``) before anything is written.
+*damaged* when it fails its checksum, is blank, is not a record, or is
+the unterminated tail a crash mid-append leaves behind; it is
+*foreign* when it verifies but carries another schema (a layout change
+bumps ``schema``).  Records must be finite: ``encode`` refuses
+``NaN``/``inf`` (``ValueError``) before anything is written.
 
 One repair rule covers every kind of damage: the file is moved aside
 to ``quarantine/<file name>.<n>`` next to it (numbered, never
@@ -26,12 +25,11 @@ overwritten, kept for post-mortem) and the lines that verify are
 rewritten atomically, byte for byte.  A torn tail is just one more
 damaged line, and damage mid-file keeps the lines on both sides.
 
-A log that identifies a run (the fleet journal) starts with a header.
-:meth:`JsonLog.open` applies one rule to it: a fresh run, or a resume
-onto a missing or empty log, starts the log over with its header; a
-resume onto a non-empty log whose header is absent or differs raises
-:class:`LogMismatchError` naming the mismatched keys, and leaves the
-file untouched.
+One resume rule covers both run logs (the sweep journal and the fleet
+journal): a record carries a digest of the context that produced it, a
+reader uses only the records whose digest matches its own context, and
+running again against the same log is the resume.  A changed context
+misses by construction, so no log has a header to check.
 
 A store rewritten whole (the tuned history) never repairs: its reader
 rejects the file on any damaged or foreign line (DESIGN.md section 8,
@@ -52,19 +50,12 @@ from repro.util.atomicio import atomic_write_text
 _PREFIX_LEN = 18
 
 
-class LogMismatchError(ValueError):
-    """The log on disk was written by a different run (other task grid,
-    seeds, plan, fault plan or experiment); resuming would silently mix
-    incompatible results, so it is refused instead."""
-
-
-def encode(record: dict, schema: int, *, kind: str = "rec") -> bytes:
-    """One log line, newline included (``kind="head"`` for a header).
+def encode(record: dict, schema: int) -> bytes:
+    """One log line, newline included.
 
     Raises ``ValueError`` on a non-finite float: strict JSON only."""
-    body = b'"schema":%d,"%s":%s}' % (
+    body = b'"schema":%d,"rec":%s}' % (
         schema,
-        kind.encode(),
         json.dumps(
             record, separators=(",", ":"), allow_nan=False
         ).encode(),
@@ -87,10 +78,8 @@ def _verify(line: bytes) -> dict | None:
 class Scan:
     """What one read-only pass over a log found."""
 
-    header: dict | None = None
     records: list[dict] = field(default_factory=list)
-    #: the verified lines, byte for byte (header first): what a repair
-    #: rewrites.
+    #: the verified lines, byte for byte: what a repair rewrites.
     kept: list[bytes] = field(default_factory=list)
     damaged: int = 0
     foreign: int = 0
@@ -104,8 +93,6 @@ class JsonLog:
     #: bump when the record layout changes; lines stamped with another
     #: schema are never returned and are quarantined on repair.
     schema = 1
-    #: what wrote the log, for header-mismatch messages.
-    name = "log"
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
@@ -124,7 +111,7 @@ class JsonLog:
         lines = data.split(b"\n")
         if lines.pop():
             scan.damaged += 1  # unterminated tail: an append cut short
-        for index, line in enumerate(lines):
+        for line in lines:
             blob = _verify(line)
             if blob is None:
                 scan.damaged += 1
@@ -132,9 +119,6 @@ class JsonLog:
                 scan.foreign += 1
             elif "rec" in blob:
                 scan.records.append(blob["rec"])
-                scan.kept.append(line + b"\n")
-            elif "head" in blob and index == 0:
-                scan.header = blob["head"]
                 scan.kept.append(line + b"\n")
             else:
                 scan.damaged += 1
@@ -161,54 +145,6 @@ class JsonLog:
         return scan.records
 
     # ------------------------------------------------------------------
-    # the header rule
-    # ------------------------------------------------------------------
-    def open(self, header: dict, *, resume: bool) -> list[dict]:
-        """Start the log for the run ``header`` identifies; returns the
-        records to resume from (none unless ``resume``)."""
-        if resume:
-            scan = self.scan()
-            if scan.size:
-                self.check_header(header, scan)
-                self.repair(scan)
-                return scan.records
-        self.clear()
-        self.write_header(header)
-        return []
-
-    def read_header(self) -> dict | None:
-        """The header, or ``None`` when the first line is not one."""
-        return self.scan().header
-
-    def write_header(self, header: dict) -> None:
-        """Record the run identity as the log's first line."""
-        self._append([encode(header, self.schema, kind="head")])
-
-    def check_header(self, expected: dict, scan: Scan | None = None) -> None:
-        """Raise :class:`LogMismatchError` naming every key where the
-        log's header differs from ``expected`` (all of them when the
-        log has no header)."""
-        found = (scan or self.scan()).header
-        seen = found or {}
-        mismatched = sorted(
-            key
-            for key in expected.keys() | seen.keys()
-            if expected.get(key) != seen.get(key)
-        )
-        if found is None or mismatched:
-            problem = (
-                f"has no {self.name} header"
-                if found is None
-                else f"was written by a different {self.name} run"
-            )
-            raise LogMismatchError(
-                f"{self.path} {problem} (mismatched: "
-                f"{', '.join(mismatched)}); resuming would mix "
-                "incompatible results - use a fresh path or re-run "
-                "without resume"
-            )
-
-    # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
     def append_records(
@@ -217,25 +153,18 @@ class JsonLog:
         """Append ``records`` in one write, flushed and (unless
         ``fsync=False``) fsynced so they survive the process dying
         immediately after."""
-        self._append([encode(r, self.schema) for r in records], fsync)
-
-    def _append(self, lines: list[bytes], fsync: bool = True) -> None:
+        data = b"".join(encode(r, self.schema) for r in records)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "ab") as handle:
-            handle.write(b"".join(lines))
+            handle.write(data)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
 
-    def rewrite(
-        self, records: list[dict], *, header: dict | None = None
-    ) -> int:
-        """Replace the whole log with ``header`` (if any) and
-        ``records`` atomically; returns the bytes written."""
-        lines = [encode(r, self.schema) for r in records]
-        if header is not None:
-            lines.insert(0, encode(header, self.schema, kind="head"))
-        data = b"".join(lines)
+    def rewrite(self, records: list[dict]) -> int:
+        """Replace the whole log with ``records`` atomically; returns
+        the bytes written."""
+        data = b"".join(encode(r, self.schema) for r in records)
         atomic_write_text(self.path, data.decode())
         return len(data)
 

@@ -95,10 +95,12 @@ class TestParser:
             ["surrogate", "fit", "--out", "model.json",
              "--journal", "sweep.jsonl"],
             ["search-space", "--machine", "crill"],
+            ["fleet", "run", "--journal", "fleet.jsonl", "--resume"],
         ],
         ids=["fleet-concurrency", "run-no-batch", "sweep-no-batch",
              "surrogate-mlp", "run-resume-from", "sweep-journal",
-             "sweep-resume", "surrogate-journal", "search-space-machine"],
+             "sweep-resume", "surrogate-journal", "search-space-machine",
+             "fleet-run-resume"],
     )
     def test_removed_options_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -129,9 +131,15 @@ class TestSetupErrors:
             (["--workload", "Z"], "npb_class must be one of"),
             (["--app", "lulesh", "--workload", "50"],
              "mesh must be one of"),
+            (["--app", "lulesh", "--workload", "big"],
+             "mesh must be one of (45, 60), got 'big'"),
+            (["--app", "synthetic", "--workload", "Z"],
+             "synthetic has only the 'mixed' workload, got 'Z'"),
             (["--repeats", "0"], "repeats must be >= 1, got 0"),
         ],
-        ids=["machine", "sp-workload", "lulesh-workload", "repeats"],
+        ids=["machine", "sp-workload", "lulesh-workload",
+             "lulesh-nonnumeric-workload", "synthetic-workload",
+             "repeats"],
     )
     def test_bad_setup_value_is_one_error_line(
         self, command, flags, message

@@ -15,7 +15,6 @@ import pytest
 from repro.core.capschedule import load_cap_schedule
 from repro.experiments.cache import (
     experiment_digest,
-    history_path,
     result_from_json,
     result_to_json,
 )
@@ -146,28 +145,23 @@ class TestDigest:
         digests.add(experiment_digest(app, setup, "arcs-offline"))
         assert len(digests) == 1
 
-    def test_tuning_digest_shared_across_strategy_knobs(
-        self, app, tmp_path
-    ):
-        """The tuned history is keyed by (app, machine, cap, seed,
-        noise) only - repeats and online budget do not re-tune."""
+    def test_tuning_digest_shared_across_strategy_knobs(self, app):
+        """The tuned-config key is (app, machine, cap, seed, noise)
+        only - repeats and online budget do not change what tuning
+        finds."""
         a = ExperimentSetup(spec=crill(), cap_w=85.0, repeats=2)
         b = ExperimentSetup(
             spec=crill(), cap_w=85.0, repeats=3, online_max_evals=10
         )
         c = ExperimentSetup(spec=crill(), cap_w=70.0, repeats=2)
-        assert history_path(tmp_path, app, a) == history_path(
-            tmp_path, app, b
-        )
-        assert history_path(tmp_path, app, a) != history_path(
-            tmp_path, app, c
-        )
+        assert config_key(app, a).digest == config_key(app, b).digest
+        assert config_key(app, a).digest != config_key(app, c).digest
 
-    def test_digests_are_pinned(self, tmp_path):
+    def test_digests_are_pinned(self):
         """Every key derived from the measurement context keeps the
         value it had when each store listed the context fields itself:
-        a changed digest orphans every cache entry, tuned history,
-        journal and service entry written before it."""
+        a changed digest orphans every journal record and service
+        entry written before it."""
         examples = REPO_SRC.parent / "examples"
         app = sp_application("B")
         plan = load_fault_plan(examples / "faultplan.json")
@@ -178,11 +172,9 @@ class TestDigest:
         assert experiment_digest(app, setup, "arcs-offline") == (
             "d0b57b9aac4e9a5fe9abdf3dd9a4e36060ffb943cad1eed788caeb6c911cc341"
         )
-        history = (
+        assert config_key(app, setup).digest == (
             "a26d182cd36001cf4ad72ead922164c4f8fc0714513f778e6c94c40391908ba5"
         )
-        assert history_path(tmp_path, app, setup).stem == history
-        assert config_key(app, setup).digest == history
         static = replace(setup, cap_schedule=None)
         run_ids = {
             strategy: task_run_id(

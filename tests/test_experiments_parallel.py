@@ -4,6 +4,7 @@ execution would amplify."""
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -37,6 +38,7 @@ from repro.experiments.runner import (
 from repro.machine.spec import crill, minotaur
 from repro.openmp.types import OMPConfig
 from repro.workloads.synthetic import synthetic_application
+from tests.test_jsonlog import legacy_head_line
 
 
 def _app():
@@ -67,20 +69,20 @@ def _encode_sweep(sweep) -> str:
 
 
 # --- injectable task functions (module-level: must pickle) -----------------
-# Scratch paths ride in ``history_path``, which run_sweep_task ignores
-# for non-offline strategies.
-def _marking_task(task: SweepTask):
-    """Record each invocation as a file under the scratch dir."""
-    scratch = Path(task.history_path)
+# Scratch directories are bound with functools.partial, which pickles
+# as long as the function it wraps is module-level.
+def _marking_task(scratch: str, task: SweepTask):
+    """Record each invocation as a file under ``scratch``."""
+    scratch = Path(scratch)
     scratch.mkdir(parents=True, exist_ok=True)
     (scratch / f"call-{task.label.replace('/', '_')}-{time.time_ns()}"
      ).touch()
     return run_sweep_task(task)
 
 
-def _flaky_task(task: SweepTask):
+def _flaky_task(scratch: str, task: SweepTask):
     """Fail the first attempt per task, succeed afterwards."""
-    marker = Path(task.history_path)
+    marker = Path(scratch) / f"marker-{task.label.replace('/', '_')}"
     marker.parent.mkdir(parents=True, exist_ok=True)
     if not marker.exists():
         marker.touch()
@@ -138,67 +140,82 @@ class TestCacheIntegration:
     def test_second_run_executes_nothing(self, tmp_path):
         cache = SweepJournal.in_dir(tmp_path / "cache")
         scratch = str(tmp_path / "calls")
+        marking = functools.partial(_marking_task, scratch)
         tasks = [
-            _task("default", cap_w=85.0, history_path=scratch),
-            _task("default", cap_w=70.0, history_path=scratch),
+            _task("default", cap_w=85.0),
+            _task("default", cap_w=70.0),
         ]
         first = ParallelSweepExecutor(
-            max_workers=1, journal=cache, task_fn=_marking_task
+            max_workers=1, journal=cache, task_fn=marking
         ).run(tasks)
         calls_after_first = len(list(Path(scratch).iterdir()))
         assert calls_after_first == 2
 
         second = ParallelSweepExecutor(
-            max_workers=1, journal=cache, task_fn=_marking_task
+            max_workers=1, journal=cache, task_fn=marking
         ).run(tasks)
         assert len(list(Path(scratch).iterdir())) == calls_after_first
         assert second == first
 
-    def test_offline_cells_share_tuned_history(self, tmp_path):
-        """Exhaustive tuning happens once per (app, machine, cap):
-        clearing cached *results* but keeping the tuned history must
-        yield a re-measured sweep with zero tuning runs."""
-        cache = SweepJournal.in_dir(tmp_path / "cache")
-        app = _app()
-        first = power_sweep(
-            app, crill(), (85.0,), repeats=1,
-            executor=ParallelSweepExecutor(journal=cache),
-        )
-        assert first.results[("85W", "arcs-offline")].tuning_runs >= 1
+    def test_killed_offline_cell_recomputes_cold(self, tmp_path):
+        """A sweep killed after its offline cell computed, but before
+        the cell reached the journal, recomputes that cell on the
+        second run exactly as a cold run does."""
 
-        cache.path.unlink()   # results only
-        rerun = power_sweep(
-            app, crill(), (85.0,), repeats=1,
-            executor=ParallelSweepExecutor(journal=cache),
-        )
-        offline = rerun.results[("85W", "arcs-offline")]
-        assert offline.tuning_runs == 0
-        assert offline.time_s == (
-            first.results[("85W", "arcs-offline")].time_s
-        )
+        def killed_after_offline(task):
+            result = run_sweep_task(task)
+            if task.strategy == "arcs-offline":
+                raise _Killed(task.label)
+            return result
+
+        journal = SweepJournal.in_dir(tmp_path / "cache")
+        with pytest.raises(_Killed):
+            _offline_cell(1, ParallelSweepExecutor(
+                journal=journal, task_fn=killed_after_offline
+            ))
+        executor = ParallelSweepExecutor(journal=journal)
+        resumed = _offline_cell(1, executor)
+        assert (executor.hits, executor.misses) == (2, 1)
+        assert resumed == _offline_cell(1, ParallelSweepExecutor())
+
+    def test_changed_repeats_recomputes_offline_cell_cold(self, tmp_path):
+        """A store that holds the repeats=1 sweep gives the repeats=2
+        sweep the offline cell a cold repeats=2 run reports."""
+        journal = SweepJournal.in_dir(tmp_path / "cache")
+        _offline_cell(1, ParallelSweepExecutor(journal=journal))
+        warm = _offline_cell(2, ParallelSweepExecutor(journal=journal))
+        assert warm == _offline_cell(2, ParallelSweepExecutor())
+
+
+class _Killed(Exception):
+    """Stands in for a kill: outside every class the executor retries
+    or wraps, so it propagates raw."""
+
+
+def _offline_cell(repeats: int, executor: ParallelSweepExecutor) -> dict:
+    """The JSON of the 85 W arcs-offline cell of a synthetic-app sweep
+    on Crill."""
+    sweep = power_sweep(
+        synthetic_application(timesteps=10), crill(), (85.0,),
+        repeats=repeats, executor=executor,
+    )
+    return result_to_json(sweep.results[("85W", "arcs-offline")])
 
 
 class TestFailureHandling:
     def test_retry_recovers_from_transient_failure(self, tmp_path):
-        tasks = [
-            _task(
-                "default", cap_w=cap,
-                history_path=str(tmp_path / f"marker-{cap:g}"),
-            )
-            for cap in (85.0, 70.0)
-        ]
+        tasks = [_task("default", cap_w=cap) for cap in (85.0, 70.0)]
         results = ParallelSweepExecutor(
-            max_workers=2, retries=1, task_fn=_flaky_task
+            max_workers=2, retries=1,
+            task_fn=functools.partial(_flaky_task, str(tmp_path)),
         ).run(tasks)
         assert [r.cap_w for r in results] == [85.0, 70.0]
 
     def test_retry_recovers_inline_too(self, tmp_path):
-        task = _task(
-            "default", history_path=str(tmp_path / "marker")
-        )
         results = ParallelSweepExecutor(
-            max_workers=1, retries=1, task_fn=_flaky_task
-        ).run([task])
+            max_workers=1, retries=1,
+            task_fn=functools.partial(_flaky_task, str(tmp_path)),
+        ).run([_task("default")])
         assert results[0].strategy == "default"
 
     def test_exhausted_retries_raise_with_context(self):
@@ -322,30 +339,30 @@ class TestJournalHeader:
         digest = ParallelSweepExecutor._digest(task)
         journal.append(digest, task.label, result)
         assert journal.load() == {digest: result}
-        assert journal.read_header() is None
 
     def test_missing_and_empty_journals_have_no_header(self, tmp_path):
         journal = self._journal(tmp_path)
-        assert journal.read_header() is None
         assert journal.load() == {}
         journal.clear()
-        assert journal.read_header() is None
         assert journal.load() == {}
 
     def test_header_is_not_a_cell(self, tmp_path):
-        # a journal written before records were content-addressed
-        # starts with a sweep header: it is neither a cell nor a bar
-        # to reusing the cells after it
+        # a journal written while logs began with a header line: the
+        # header is damage, quarantined on load, and the cells after
+        # it still replay
         journal = self._journal(tmp_path)
-        journal.write_header({"sweep": "abc123"})
+        head = legacy_head_line({"sweep": "abc123"}, journal.schema)
+        journal.path.write_bytes(head)
         task = _task()
         digest = ParallelSweepExecutor._digest(task)
         journal.append(digest, task.label, run_sweep_task(task))
-        assert list(journal.load()) == [digest]
         executor = ParallelSweepExecutor(journal=journal, task_fn=_never)
         executor.run([task])
         assert executor.hits == 1
-        assert journal.read_header() == {"sweep": "abc123"}
+        quarantined = tmp_path / "quarantine" / "journal.jsonl.0"
+        assert quarantined.read_bytes().startswith(head)
+        assert head not in journal.path.read_bytes()
+        assert list(journal.load()) == [digest]
 
     def test_changed_seed_misses_by_construction(self, tmp_path):
         journal = self._journal(tmp_path)

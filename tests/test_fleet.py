@@ -13,6 +13,7 @@ the analysis converters.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +49,6 @@ from repro.fleet.events import (
     FleetEvent,
 )
 from repro.telemetry.bus import telemetry_session
-from repro.util.jsonlog import LogMismatchError
 
 _EPS = 1e-6
 
@@ -184,7 +184,7 @@ class TestChaos:
                 stop_after=kill_at,
             ).run()
             resumed = FleetSimulation(
-                plan, crash_faults, journal=journal, resume=True
+                plan, crash_faults, journal=journal
             ).run()
             assert _result_json(resumed) == _result_json(reference)
 
@@ -199,24 +199,32 @@ class TestChaos:
         with open(journal.path, "a", encoding="utf-8") as fh:
             fh.write('{"schema":1,"step":99,"sta')  # torn mid-write
         resumed = FleetSimulation(
-            plan, crash_faults, journal=journal, resume=True
+            plan, crash_faults, journal=journal
         ).run()
         assert _result_json(resumed) == _result_json(reference)
 
-    def test_resume_refuses_a_foreign_journal(
-        self, crash_run, crash_faults
+    def test_foreign_journal_runs_clean(
+        self, tmp_path, crash_run, crash_faults
     ):
-        _plan, journal, _result = crash_run
+        """Another fleet over a journal holding the reference run's
+        snapshots restores none of them: it runs clean, byte-identical
+        to a fresh run, and the reference run still replays."""
+        plan, journal, reference = crash_run
+        shared = FleetJournal(tmp_path / "shared.jsonl")
+        shutil.copy(journal.path, shared.path)
         other = synthesize_fleet(4, seed=99, max_steps=80)
-        with pytest.raises(LogMismatchError, match="plan"):
-            FleetSimulation(
-                other, crash_faults, journal=journal, resume=True
-            ).run()
-
-    def test_resume_requires_a_journal(self):
-        plan = synthesize_fleet(2)
-        with pytest.raises(ValueError, match="journal"):
-            FleetSimulation(plan, resume=True)
+        fresh = FleetSimulation(
+            other, crash_faults,
+            journal=FleetJournal(tmp_path / "fresh.jsonl"),
+        ).run()
+        foreign = FleetSimulation(
+            other, crash_faults, journal=shared
+        ).run()
+        assert _result_json(foreign) == _result_json(fresh)
+        replayed = FleetSimulation(
+            plan, crash_faults, journal=shared
+        ).run()
+        assert _result_json(replayed) == _result_json(reference)
 
     def test_stop_after_must_be_non_negative(self):
         plan = synthesize_fleet(2)
@@ -544,38 +552,28 @@ class TestAllocator:
 class TestFleetJournal:
     def test_missing_file_has_no_snapshot(self, tmp_path):
         journal = FleetJournal(tmp_path / "nope.jsonl")
-        assert journal.load_last_snapshot() is None
-        assert journal.read_header() is None
+        assert journal.load_last_snapshot("abc") is None
 
     def test_torn_tail_is_truncated_away(self, tmp_path):
         journal = FleetJournal(tmp_path / "fleet.jsonl")
-        journal.write_header({"plan": "abc"})
-        journal.append_snapshot(1, {"cells": {}})
-        journal.append_snapshot(2, {"cells": {"x": 1}})
+        journal.append_snapshot("abc", 1, {"cells": {}})
+        journal.append_snapshot("abc", 2, {"cells": {"x": 1}})
         with open(journal.path, "a", encoding="utf-8") as fh:
             fh.write('{"schema":1,"step":3,"st')
-        step, state = journal.load_last_snapshot()
+        step, state = journal.load_last_snapshot("abc")
         assert step == 2
         assert state == {"cells": {"x": 1}}
         # the torn bytes are gone: appends land on an intact prefix
         assert not journal.path.read_text().rstrip().endswith('"st')
 
-    def test_check_header_names_mismatched_keys(self, tmp_path):
+    def test_snapshots_are_keyed_by_digest(self, tmp_path):
         journal = FleetJournal(tmp_path / "fleet.jsonl")
-        journal.write_header({"plan": "abc", "seed": 1})
-        journal.check_header({"plan": "abc", "seed": 1})  # ok
-        with pytest.raises(
-            LogMismatchError, match="seed"
-        ):
-            journal.check_header({"plan": "abc", "seed": 2})
-
-    def test_headerless_file_is_refused(self, tmp_path):
-        journal = FleetJournal(tmp_path / "fleet.jsonl")
-        journal.path.write_text("not json\n")
-        with pytest.raises(
-            LogMismatchError, match="no fleet header"
-        ):
-            journal.check_header({"plan": "abc"})
+        journal.append_snapshot("abc", 1, {"run": "abc"})
+        journal.append_snapshot("def", 1, {"run": "def"})
+        journal.append_snapshot("abc", 2, {"run": "abc"})
+        assert journal.load_last_snapshot("abc") == (2, {"run": "abc"})
+        assert journal.load_last_snapshot("def") == (1, {"run": "def"})
+        assert journal.load_last_snapshot("ghi") is None
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +587,6 @@ class TestFleetCli:
         assert args.nodes == 8
         assert args.global_cap is None
         assert args.journal is None
-        assert args.resume is False
-
-    def test_resume_without_journal_is_friendly(self):
-        with pytest.raises(SystemExit, match="--journal"):
-            main(["fleet", "run", "--resume"])
 
     def test_bad_plan_path_is_friendly(self):
         with pytest.raises(SystemExit, match="fleet plan"):

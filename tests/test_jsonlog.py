@@ -15,8 +15,10 @@ hypothesis dependency).
 
 from __future__ import annotations
 
+import json
 import random
 import re
+import zlib
 
 import pytest
 
@@ -36,8 +38,17 @@ from repro.machine.spec import crill
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.service.store import ServiceStore
 from repro.surrogate.corpus import CorpusStats, fold_cache_dir
-from repro.util.jsonlog import JsonLog, LogMismatchError, encode
+from repro.util.jsonlog import JsonLog, encode
 from repro.workloads.synthetic import synthetic_application
+
+
+def legacy_head_line(header: dict, schema: int) -> bytes:
+    """A checksummed ``head`` line, as logs once began with a header
+    line of this form."""
+    body = b'"schema":%d,"head":%s}' % (
+        schema, json.dumps(header, separators=(",", ":")).encode()
+    )
+    return b'{"crc":"%08x",%s\n' % (zlib.crc32(body), body)
 
 
 def cell(i: int) -> StrategyRunResult:
@@ -98,9 +109,10 @@ def _repeat_read(root):
 
 def _fleet_write(root):
     journal = FleetJournal(root / "fleet.jsonl")
-    journal.open({"plan": "abc", "seed": 1}, resume=False)
     for step in range(1, 9):
-        journal.append_snapshot(step, {"cells": {"n0": step}, "events": []})
+        journal.append_snapshot(
+            "abc", step, {"cells": {"n0": step}, "events": []}
+        )
     return [journal.path]
 
 
@@ -336,59 +348,6 @@ class TestWholeFileRegressions:
         )
 
 
-# ---------------------------------------------------------------------------
-# the header rule (JsonLog.open) on both journal classes; only fleet
-# runs open their journal with a header
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("cls", [SweepJournal, FleetJournal])
-class TestHeaderRule:
-    header = {"plan": "abc", "seed": 1}
-
-    def test_missing_or_empty_log_starts_with_its_header(self, tmp_path, cls):
-        log = cls(tmp_path / "a.jsonl")
-        assert log.open(self.header, resume=True) == []
-        assert log.read_header() == self.header
-        log = cls(tmp_path / "b.jsonl")
-        log.clear()
-        assert log.open(self.header, resume=True) == []
-        assert log.read_header() == self.header
-
-    def test_headerless_log_is_refused_untouched(self, tmp_path, cls):
-        log = cls(tmp_path / "j.jsonl")
-        log.append_records([{"step": 1}])
-        before = log.path.read_bytes()
-        with pytest.raises(
-            LogMismatchError, match=r"no \w+ header .*plan, seed"
-        ):
-            log.open(self.header, resume=True)
-        assert log.path.read_bytes() == before
-
-    def test_foreign_header_is_refused_naming_keys(self, tmp_path, cls):
-        log = cls(tmp_path / "j.jsonl")
-        log.open({"plan": "abc", "seed": 2, "nodes": 4}, resume=False)
-        with pytest.raises(
-            LogMismatchError, match=r"\(mismatched: nodes, seed\)"
-        ):
-            log.open(self.header, resume=True)
-
-    def test_foreign_schema_header_is_refused(self, tmp_path, cls):
-        log = cls(tmp_path / "j.jsonl")
-        log.path.write_bytes(encode(self.header, cls.schema - 1, kind="head"))
-        with pytest.raises(LogMismatchError, match="no .* header"):
-            log.open(self.header, resume=True)
-
-    def test_matching_header_resumes_and_repairs(self, tmp_path, cls):
-        log = cls(tmp_path / "j.jsonl")
-        log.open(self.header, resume=False)
-        log.append_records([{"step": 1}, {"step": 2}])
-        with open(log.path, "ab") as handle:
-            handle.write(b'{"crc":"0000')  # torn tail
-        assert log.open(self.header, resume=True) == [
-            {"step": 1}, {"step": 2}
-        ]
-        assert log.scan().damaged == 0
-
-
 class TestFormat:
     def test_checksum_covers_the_bytes_written(self):
         line = encode({"b": 1, "a": [1.5, "x"]}, 3)
@@ -419,19 +378,13 @@ class TestFormat:
             log.rewrite([{"x": float("inf")}])
         assert log.path.read_bytes() == before
 
-    def test_rewrite_puts_the_header_first(self, tmp_path):
-        log = JsonLog(tmp_path / "x.jsonl")
-        written = log.rewrite([{"v": 1}], header={"h": 1})
-        assert written == log.path.stat().st_size
-        scan = log.scan()
-        assert (scan.header, scan.records) == ({"h": 1}, [{"v": 1}])
-
     def test_header_after_the_first_line_is_damage(self, tmp_path):
         log = JsonLog(tmp_path / "x.jsonl")
         log.append_records([{"v": 1}])
-        log.write_header({"h": 1})
+        with open(log.path, "ab") as handle:
+            handle.write(legacy_head_line({"h": 1}, JsonLog.schema))
         scan = log.scan()
-        assert scan.header is None
+        assert scan.records == [{"v": 1}]
         assert scan.damaged == 1
 
 
@@ -459,9 +412,9 @@ class TestReadersDoNotWrite:
 
     def test_fleet_journal_reader(self, tmp_path):
         journal = FleetJournal(tmp_path / "fleet.jsonl")
-        journal.open({"plan": "abc"}, resume=False)
         for step in (1, 2, 3):
             journal.append_snapshot(
+                "abc",
                 step,
                 {"cells": {"n0": {"status": "done"}}, "events": []},
             )

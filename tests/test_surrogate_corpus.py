@@ -34,6 +34,7 @@ from repro.surrogate.corpus import (
 )
 from repro.util.jsonlog import encode
 from repro.workloads.registry import application_by_name
+from tests.test_jsonlog import legacy_head_line
 
 APP = application_by_name("synthetic", "mixed")
 
@@ -124,18 +125,23 @@ class TestFoldJournal:
 
     def _journal(self, tmp_path, offline_result) -> SweepJournal:
         journal = SweepJournal.in_dir(tmp_path)
-        journal.write_header({"sweep": "test"})
         journal.append("a" * 64, "cell-a", offline_result)
         return journal
 
     def test_folds_cells_and_ignores_header(
         self, tmp_path, offline_result
     ):
+        # an old journal's header line is damage: counted, skipped,
+        # and no bar to folding the cells after it
+        SweepJournal.in_dir(tmp_path).path.write_bytes(
+            legacy_head_line({"sweep": "test"}, JOURNAL_SCHEMA_VERSION)
+        )
         self._journal(tmp_path, offline_result)
         stats = CorpusStats()
         records = fold_cache_dir(tmp_path, stats)
         assert len(records) == REGION_COUNT
         assert all(r.provenance == "a" * 64 for r in records)
+        assert stats.skipped_damaged == 1
 
     def test_mixed_schema_versions_skip_and_count_not_raise(
         self, tmp_path, offline_result

@@ -13,9 +13,9 @@ three robustness claims the fleet layer makes:
    a crash, its power share reclaimed (a death was declared), and
    every surviving node's workload run to completion;
 2. **crash-safe resume** - the same run killed after ``k`` steps
-   (simulated ``kill -9`` between journal fsyncs) and resumed from the
-   journal must produce byte-identical result JSON, for several kill
-   points;
+   (simulated ``kill -9`` between journal fsyncs) and run again
+   against the same journal must produce byte-identical result JSON,
+   for several kill points;
 3. **torn-tail recovery** - a journal with garbage appended (a write
    torn mid-line by the kill) must still resume byte-identically.
 
@@ -193,8 +193,7 @@ def main(argv: list[str] | None = None) -> int:
                     stop_after=k,
                 ).run()
                 resumed = FleetSimulation(
-                    plan, faults, journal=FleetJournal(path),
-                    resume=True,
+                    plan, faults, journal=FleetJournal(path)
                 ).run()
                 if _result_json(resumed) != expected:
                     raise AssertionError(
@@ -211,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write('{"schema":1,"step":999,"sta')  # torn write
             resumed = FleetSimulation(
-                plan, faults, journal=FleetJournal(path), resume=True
+                plan, faults, journal=FleetJournal(path)
             ).run()
             if _result_json(resumed) != expected:
                 raise AssertionError(
