@@ -234,40 +234,19 @@ def journal_records(path: str | Path) -> list[Record]:
     return rows
 
 
-def fleet_survival_records(source) -> list[Record]:
+def fleet_survival_records(result: Mapping) -> list[Record]:
     """Survival-rate table for one fleet run.
 
-    ``source`` is either a fleet journal path (the last verified
-    snapshot is the authority - what running its run again would
-    restore; the file is only read) or a
-    :func:`repro.fleet.fleet_result_to_json` mapping.  One row per
-    degradation kind observed in the run - how often it
+    ``result`` is a :func:`repro.fleet.fleet_result_to_json` mapping.
+    One row per degradation kind observed in the run - how often it
     fired, which nodes it hit, how many of those nodes nonetheless
     survived - plus a trailing ``fleet`` row carrying the run-level
     survival rate over every started node.
     """
     from repro.fleet.events import DEGRADATION_KINDS, FleetEvent
 
-    if isinstance(source, (str, Path)):
-        from repro.fleet.journal import FleetJournal
-
-        loaded = FleetJournal.last_snapshot(
-            FleetJournal(source).scan().records
-        )
-        if loaded is None:
-            return []
-        _step, state = loaded
-        statuses = {
-            str(node_id): str(cell["status"])
-            for node_id, cell in state["cells"].items()
-        }
-        events = [FleetEvent.from_json(b) for b in state["events"]]
-    else:
-        statuses = {
-            str(n["node"]): str(n["status"]) for n in source["nodes"]
-        }
-        events = [FleetEvent.from_json(b) for b in source["events"]]
-
+    statuses = {str(n["node"]): str(n["status"]) for n in result["nodes"]}
+    events = [FleetEvent.from_json(b) for b in result["events"]]
     started = [n for n, s in statuses.items() if s != "pending"]
     crashed = [n for n, s in statuses.items() if s == "crashed"]
     rows: list[Record] = []

@@ -205,13 +205,13 @@ def _fig9_metrics(rows) -> dict:
 
 
 def _gen_fleet_survival(options: GenOptions) -> list[dict]:
-    """A small canned chaos fleet, journaled to a scratch directory;
-    the survival table is then derived from the journal exactly as it
-    would be from a real ``repro fleet run --journal`` artifact."""
-    import tempfile
-
+    """Survival table of a small canned chaos fleet."""
     from repro.faults.plan import FaultPlan, FaultSpec
-    from repro.fleet import FleetJournal, FleetSimulation, synthesize_fleet
+    from repro.fleet import (
+        FleetSimulation,
+        fleet_result_to_json,
+        synthesize_fleet,
+    )
 
     plan = synthesize_fleet(5, seed=7, max_steps=40)
     faults = FaultPlan(
@@ -227,10 +227,9 @@ def _gen_fleet_survival(options: GenOptions) -> list[dict]:
         ),
         seed=11,
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        journal = FleetJournal(Path(tmp) / "fleet.jsonl")
-        FleetSimulation(plan, faults, journal=journal).run()
-        return fleet_survival_records(journal.path)
+    return fleet_survival_records(
+        fleet_result_to_json(FleetSimulation(plan, faults).run())
+    )
 
 
 def _gen_capsched_timeline(options: GenOptions) -> list[dict]:

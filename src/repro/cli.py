@@ -190,23 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="per-request deadline for --service "
                           "(default: 2.0)")
-    run.add_argument("--surrogate-model", default=None,
-                     metavar="MODEL.JSON",
-                     help="fitted surrogate model (repro surrogate "
-                          "fit); required by --strategy surrogate, "
-                          "optional with --surrogate-cold-start")
-    run.add_argument("--surrogate-top-k", type=int, default=None,
-                     metavar="K",
-                     help="configs measured per region when the model "
-                          "is trusted (default: 12)")
-    run.add_argument("--surrogate-max-fit-error", type=float,
-                     default=None, metavar="ERR",
-                     help="held-out fit error above which tuning falls "
-                          "back to nelder-mead (default: 0.35)")
-    run.add_argument("--surrogate-cold-start", action="store_true",
-                     help="serve model-predicted configurations when "
-                          "every tuned-knowledge tier misses (offline "
-                          "strategies; needs --surrogate-model)")
 
     sweep = _command(
         sub, "sweep", _cmd_sweep,
@@ -326,48 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance before a worse-direction move counts "
              f"as a regression (default: {DEFAULT_TOLERANCE})",
     )
-
-    surrogate = sub.add_parser(
-        "surrogate",
-        help="fit / inspect the learned config-ranking surrogate",
-    )
-    surrogate_sub = surrogate.add_subparsers(
-        dest="surrogate_command", required=True
-    )
-    fit = _command(
-        surrogate_sub, "fit", _cmd_surrogate_fit,
-        "fold measurement stores into a training corpus and fit "
-        "the surrogate model",
-    )
-    fit.add_argument(
-        "--cache-dir", action="append", default=[], metavar="DIR",
-        help="store of completed cells to fold (repeatable; "
-             "read-only)",
-    )
-    fit.add_argument(
-        "--telemetry", action="append", default=[], metavar="DIR",
-        help="telemetry directory to fold (repeatable)",
-    )
-    fit.add_argument(
-        "--out", required=True, metavar="MODEL.JSON",
-        help="where to save the fitted model",
-    )
-    fit.add_argument(
-        "--corpus", default=None, metavar="CORPUS.JSON",
-        help="also save the folded training corpus here",
-    )
-    fit.add_argument(
-        "--report", default=None, metavar="REPORT.JSON",
-        help="also save the fit-quality report here",
-    )
-    fit.add_argument("--dim", type=int, default=None,
-                     help="hashed feature dimensionality (default: 1024)")
-    _add_shared(fit, "--seed", "--faults")
-    srep = _command(
-        surrogate_sub, "report", _cmd_surrogate_report,
-        "print a saved model's fit-quality report",
-    )
-    srep.add_argument("model", metavar="MODEL.JSON")
 
     trace = _command(
         sub, "trace", _cmd_trace,
@@ -568,46 +509,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
     source = _service_chain(
         args.service, setup.fault_plan, args.service_deadline
     )
-    surrogate_tuning = None
-    if args.surrogate_model is not None:
-        from repro.surrogate.plan import (
-            DEFAULT_MAX_FIT_ERROR,
-            DEFAULT_TOP_K,
-            SurrogateTuning,
-        )
-
-        surrogate_tuning = SurrogateTuning.load(
-            args.surrogate_model,
-            top_k=(
-                DEFAULT_TOP_K
-                if args.surrogate_top_k is None
-                else args.surrogate_top_k
-            ),
-            max_fit_error=(
-                DEFAULT_MAX_FIT_ERROR
-                if args.surrogate_max_fit_error is None
-                else args.surrogate_max_fit_error
-            ),
-        )
-    if args.strategy == "surrogate" and surrogate_tuning is None:
-        raise SystemExit(
-            "error: --strategy surrogate needs --surrogate-model "
-            "(fit one with `repro surrogate fit`)"
-        )
-    if args.surrogate_cold_start:
-        if surrogate_tuning is None:
-            raise SystemExit(
-                "error: --surrogate-cold-start needs --surrogate-model"
-            )
-        from repro.surrogate.source import SurrogateColdStartSource
-
-        cold = SurrogateColdStartSource(surrogate_tuning)
-        if source is None:
-            from repro.service.source import default_chain
-
-            source = default_chain(surrogate=cold)
-        else:
-            source.sources.append(cold)
 
     # RunAbortedError is an aborted run, OSError a --checkpoint path
     # that cannot be read, ValueError e.g. --checkpoint with a
@@ -626,7 +527,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 args.strategy, app, setup, history=history,
                 checkpoint_path=args.checkpoint,
                 source=source,
-                surrogate=surrogate_tuning,
             )
         except RunAbortedError as exc:
             # land the abort in the event log (and thus the timeline)
@@ -825,100 +725,6 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     with _user_errors(FileNotFoundError, ValueError):
         report = compare_dirs(args.old, args.new, tolerance=args.tolerance)
     return render_comparison(report), (0 if report.ok else 1)
-
-
-def _render_fit_report(report) -> str:
-    def fmt(value):
-        return "-" if value is None else f"{value:.4f}"
-
-    rows = [
-        ("training records", str(report.n_records)),
-        ("  fit on", str(report.n_train)),
-        ("  held out", str(report.n_holdout)),
-        ("  unresolvable", str(report.n_unresolvable)),
-        ("feature dim", str(report.dim)),
-        ("seed", str(report.seed)),
-        ("holdout rel err", fmt(report.holdout_rel_err)),
-        ("train rel err", fmt(report.train_rel_err)),
-        ("usable", "yes" if report.usable else
-         f"NO ({report.reason})"),
-    ]
-    lines = [format_table(("fit", "value"), rows,
-                          title="Surrogate fit report")]
-    if report.corpus_notes:
-        lines.append("corpus notes:")
-        lines.extend(f"  - {n}" for n in report.corpus_notes)
-    return "\n".join(lines)
-
-
-def _cmd_surrogate_report(args: argparse.Namespace) -> str:
-    from repro.surrogate import SurrogateError, load_model
-
-    with _user_errors(SurrogateError):
-        model = load_model(args.model)
-    return _render_fit_report(model.report)
-
-
-def _cmd_surrogate_fit(args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.surrogate import (
-        CorpusStats,
-        fit_surrogate,
-        fold_cache_dir,
-        fold_telemetry_dir,
-        save_corpus,
-        save_model,
-    )
-
-    if not (args.cache_dir or args.telemetry):
-        raise SystemExit(
-            "error: nothing to fold - pass at least one of "
-            "--cache-dir / --telemetry"
-        )
-    if args.dim is not None and args.dim < 1:
-        raise SystemExit(
-            f"error: --dim must be >= 1, got {args.dim}"
-        )
-    stats = CorpusStats()
-    faults = make_injector(_load_faults(args.faults), salt="surrogate")
-    records = []
-    for directory in args.cache_dir:
-        records.extend(fold_cache_dir(directory, stats, faults))
-    for directory in args.telemetry:
-        records.extend(fold_telemetry_dir(directory, stats, faults))
-    if args.corpus:
-        save_corpus(records, stats, args.corpus)
-    kwargs = {} if args.dim is None else {"dim": args.dim}
-    model = fit_surrogate(
-        records,
-        seed=args.seed,
-        corpus_stats=stats,
-        faults=faults,
-        **kwargs,
-    )
-    save_model(model, args.out)
-    lines = [
-        f"folded {stats.records} training record(s) from "
-        f"{stats.files} file(s) "
-        f"(skipped: {stats.skipped_schema} schema-mismatched, "
-        f"{stats.skipped_damaged} damaged, "
-        f"{stats.skipped_unusable} unusable)",
-    ]
-    lines.extend(f"  - {note}" for note in stats.notes)
-    lines.append(_render_fit_report(model.report))
-    if args.corpus:
-        lines.append(f"corpus saved to {args.corpus}")
-    if args.report:
-        from repro.util.atomicio import atomic_write_text
-
-        atomic_write_text(
-            args.report,
-            _json.dumps(model.report.to_json(), indent=2) + "\n",
-        )
-        lines.append(f"fit report saved to {args.report}")
-    lines.append(f"model saved to {args.out}")
-    return "\n".join(lines)
 
 
 _MISSING_DIR = (FileNotFoundError, NotADirectoryError)

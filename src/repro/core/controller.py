@@ -46,9 +46,6 @@ class ARCS:
         seed: int = 0,
         source: "ConfigSource | None" = None,
         source_key: "ConfigKey | None" = None,
-        surrogate_orders: (
-            dict[str, tuple[tuple[int, ...], ...]] | None
-        ) = None,
     ) -> None:
         if source is not None and source_key is None:
             raise ValueError("a config source needs a source_key")
@@ -78,7 +75,6 @@ class ARCS:
             cap_aware=cap_aware,
             objective=objective,
             seed=seed,
-            surrogate_orders=surrogate_orders,
         )
         self._attached = False
         self._config_calls_at_attach = 0

@@ -116,9 +116,6 @@ class ArcsPolicy(Policy):
         cap_aware: bool = False,
         objective: str = "time",
         seed: int = 0,
-        surrogate_orders: (
-            dict[str, tuple[tuple[int, ...], ...]] | None
-        ) = None,
     ) -> None:
         if objective not in OBJECTIVES:
             raise ValueError(
@@ -147,13 +144,6 @@ class ArcsPolicy(Policy):
         #: trusting configurations tuned for the old level.
         self.cap_aware = cap_aware
         self.seed = seed
-        #: model-ranked probe orders per region (base region name, no
-        #: cap suffix), consumed by the ``"surrogate"`` strategy; a
-        #: region with no order searches with Nelder-Mead instead (the
-        #: cold-region half of the fallback contract).
-        self.surrogate_orders = (
-            dict(surrogate_orders) if surrogate_orders else None
-        )
         self.regions: dict[str, RegionTuningState] = {}
         #: regions the watchdog pinned to the default configuration
         #: (region name -> reason).  A pinned region is never tuned
@@ -374,40 +364,16 @@ class ArcsPolicy(Policy):
                 configs.append(config)
         self.runtime.hint_probes(region_name, tuple(configs))
 
-    def _session_strategy(
-        self, region_name: str
-    ) -> tuple[str, tuple[tuple[int, ...], ...] | None]:
-        """Resolve the strategy (and probe order) for one region's
-        session.  Only the ``"surrogate"`` strategy is region-
-        dependent: a region the model produced no ranking for searches
-        with Nelder-Mead instead - the per-region half of the fallback
-        contract (the whole-run half lives in the runner)."""
-        if self.strategy_name != "surrogate":
-            return self.strategy_name, None
-        orders = self.surrogate_orders or {}
-        order = orders.get(region_name)
-        if order is None:
-            # cap-aware state keys carry an ``@<cap>`` suffix; orders
-            # are keyed by the bare region name.
-            base, sep, _ = region_name.rpartition("@")
-            if sep:
-                order = orders.get(base)
-        if order is None:
-            return "nelder-mead", None
-        return "surrogate", order
-
     def _new_session(
         self, region_name: str, start: tuple[int, ...] | None = None
     ) -> TuningSession:
         start_point = start if start is not None else self._start_point
-        strategy_name, order = self._session_strategy(region_name)
         strategy = make_strategy(
-            strategy_name,
+            self.strategy_name,
             self.space,
             max_evals=self.max_evals,
             seed=derive_seed(self.seed, "arcs-session", region_name),
             start=start_point,
-            order=order,
         )
         restart_ids = itertools.count(1)
 
@@ -416,7 +382,7 @@ class ArcsPolicy(Policy):
             # stream distinct from the original (and from previous
             # restarts) so a restart never replays the diverged path.
             return make_strategy(
-                strategy_name,
+                self.strategy_name,
                 self.space,
                 max_evals=self.max_evals,
                 seed=derive_seed(
@@ -427,7 +393,6 @@ class ArcsPolicy(Policy):
                     next(restart_ids),
                 ),
                 start=start_point,
-                order=order,
             )
 
         return TuningSession(

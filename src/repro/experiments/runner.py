@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.capschedule import CapSchedule, CapScheduleApplier
 from repro.core.controller import ARCS
@@ -47,17 +46,9 @@ from repro.util.rng import derive_seed
 from repro.util.stats import summarize_runs
 from repro.workloads.base import Application, AppRunResult, run_application
 
-if TYPE_CHECKING:  # runner <-> surrogate would cycle at import time
-    from repro.surrogate.plan import SurrogateTuning
-
 #: the strategy names :func:`run_strategy` dispatches, in table order;
 #: the first three are the paper's comparison.
-STRATEGIES = ("default", "arcs-online", "arcs-offline", "surrogate")
-
-#: tuning-search modes of the ARCS-Offline tuning run.  All three
-#: produce a history entry replayed by identical measured runs, so the
-#: result's ``strategy`` label stays ``"arcs-offline"`` regardless.
-OFFLINE_TUNERS = ("exhaustive", "surrogate", "nelder-mead")
+STRATEGIES = ("default", "arcs-online", "arcs-offline")
 
 #: Crill power levels (W per package); None = uncapped TDP run.
 CRILL_POWER_LEVELS: tuple[float, ...] = (55.0, 70.0, 85.0, 100.0, 115.0)
@@ -478,9 +469,6 @@ def run_arcs_offline(
     setup: ExperimentSetup,
     history: HistoryStore | None = None,
     source: ConfigSource | None = None,
-    *,
-    tuner: str = "exhaustive",
-    surrogate: "SurrogateTuning | None" = None,
 ) -> StrategyRunResult:
     """ARCS-Offline: exhaustive tuning run(s) produce a history file;
     the measured runs replay it.
@@ -493,24 +481,7 @@ def run_arcs_offline(
     holds) before tuning fresh, freshly tuned configurations are
     published back through it, and every tier failure along the way is
     surfaced as a degradation note - never an error.
-
-    ``tuner`` selects how the tuning run searches (the measured replay
-    runs are identical either way): ``"exhaustive"`` (the paper),
-    ``"nelder-mead"``, or ``"surrogate"`` - model-ranked top-k probing
-    via ``surrogate`` (a :class:`~repro.surrogate.plan.
-    SurrogateTuning`).  An untrusted surrogate fit falls back to the
-    plain Nelder-Mead path with a degradation note; the fallback run
-    is byte-identical to ``tuner="nelder-mead"`` apart from that note.
     """
-    if tuner not in OFFLINE_TUNERS:
-        raise ValueError(
-            f"unknown offline tuner {tuner!r}; known: {OFFLINE_TUNERS}"
-        )
-    if tuner == "surrogate" and surrogate is None:
-        raise ValueError(
-            "tuner='surrogate' needs a SurrogateTuning (model + "
-            "thresholds); see repro.surrogate.plan"
-        )
     history = history if history is not None else HistoryStore()
     source_key = config_key(app, setup)
     key = source_key.experiment
@@ -525,35 +496,17 @@ def run_arcs_offline(
             )
     tuning_runs = 0
     fallbacks: dict[str, str] = {}
-    surrogate_notes: list[str] = []
     if not history.has(key):
-        tuning_strategy = tuner
-        orders = None
-        if tuner == "surrogate":
-            from repro.surrogate.plan import fallback_note
-
-            reason = surrogate.fallback_reason()
-            if reason is not None:
-                # decided *before* any search state exists, so the
-                # fallback run shares every seed and code path with a
-                # plain nelder-mead tuning run.
-                surrogate_notes.append(fallback_note(reason))
-                tuning_strategy = "nelder-mead"
-            else:
-                orders = surrogate.orders_for(
-                    app, setup.spec, setup.cap_w
-                )
         runtime = fresh_runtime(setup, run_index=1000)
         arcs = ARCS(
             runtime,
-            strategy=tuning_strategy,
+            strategy="exhaustive",
             max_evals=setup.online_max_evals,
             history=history,
             history_key=key,
             seed=derive_seed(setup.seed, "offline-tuning"),
             source=source,
             source_key=source_key,
-            surrogate_orders=orders,
         )
         arcs.attach()
         while tuning_runs < MAX_TUNING_RUNS:
@@ -616,9 +569,7 @@ def run_arcs_offline(
         chosen_configs=history.load(key),
         overhead=overhead,
         tuning_runs=tuning_runs,
-        degradations=_collect_degradations(
-            results, fallbacks, source_notes, surrogate_notes
-        ),
+        degradations=_collect_degradations(results, fallbacks, source_notes),
         cap_changes=tuple(cap_changes),
     )
 
@@ -632,16 +583,12 @@ def run_strategy(
     checkpoint_path: str | Path | None = None,
     supervise: SuperviseConfig | None = None,
     source: ConfigSource | None = None,
-    surrogate: "SurrogateTuning | None" = None,
 ) -> StrategyRunResult:
-    """Dispatch by strategy name: default / arcs-online / arcs-offline
-    / surrogate (arcs-offline whose tuning run probes a model-ranked
-    top-k subset instead of the whole space).
+    """Dispatch by strategy name: default / arcs-online / arcs-offline.
 
-    ``source`` (a :class:`ConfigSource` chain) only affects the
-    offline modes - the strategies that do not consume tuned knowledge
-    ignore it, so a sweep can pass one chain uniformly.  ``surrogate``
-    likewise only affects ``"surrogate"``.
+    ``source`` (a :class:`ConfigSource` chain) only affects
+    arcs-offline - the strategies that do not consume tuned knowledge
+    ignore it, so a sweep can pass one chain uniformly.
     """
     with traced_span(
         "run.strategy",
@@ -673,6 +620,4 @@ def run_strategy(
             setup,
             history=history,
             source=source,
-            tuner="surrogate" if name == "surrogate" else "exhaustive",
-            surrogate=surrogate,
         )

@@ -30,8 +30,6 @@ site                      actions
 ``fleet.telemetry``       ``drop`` / ``partition``
 ``fleet.cap_write``       ``reject``
 ``fleet.membership``      ``flap``
-``surrogate.corpus``      ``torn`` / ``corrupt``
-``surrogate.fit``         ``nonfinite``
 ========================  =======================================
 
 The ``service.*`` sites model the network between a tuning-service
@@ -48,15 +46,6 @@ error.
 executions, and are handled by the watchdog layer in
 :mod:`repro.supervise` (retry, pin to default, abort) rather than by
 the sweep executor.
-
-The ``surrogate.*`` sites model damage to the learned-surrogate
-pipeline (:mod:`repro.surrogate`): a training record torn mid-write or
-bit-flipped on disk (``surrogate.corpus``, drawn once per candidate
-record during corpus folding - the record is skipped and counted, the
-fold never raises) and a model fit whose solve blows up into
-non-finite weights (``surrogate.fit``, drawn once per fit).  Either
-way the surrogate run must degrade to the Nelder-Mead fallback with a
-typed degradation note, never to a crash.
 
 The ``fleet.*`` sites model failures of whole nodes inside a
 :mod:`repro.fleet` simulation: a node process dying permanently
@@ -100,8 +89,6 @@ FAULT_SITES: dict[str, tuple[str, ...]] = {
     "fleet.telemetry": ("drop", "partition"),
     "fleet.cap_write": ("reject",),
     "fleet.membership": ("flap",),
-    "surrogate.corpus": ("torn", "corrupt"),
-    "surrogate.fit": ("nonfinite",),
 }
 
 #: default spike factor for ``measure.noise``: a timer glitch on a

@@ -30,21 +30,13 @@ class FleetJournal(JsonLog):
 
     schema = FLEET_JOURNAL_SCHEMA
 
-    @staticmethod
-    def last_snapshot(
-        records: list[dict], digest: str | None = None
-    ) -> tuple[int, dict] | None:
-        """The newest ``(step, state)`` snapshot among ``records``, of
-        the run ``digest`` names when given."""
-        for record in reversed(records):
-            if digest is None or record["digest"] == digest:
+    def load_last_snapshot(self, digest: str) -> tuple[int, dict] | None:
+        """The newest ``(step, state)`` snapshot of run ``digest`` on
+        disk, after repairing damage."""
+        for record in reversed(self.load_records()):
+            if record["digest"] == digest:
                 return int(record["step"]), record["state"]
         return None
-
-    def load_last_snapshot(self, digest: str) -> tuple[int, dict] | None:
-        """The newest snapshot of run ``digest`` on disk, after
-        repairing damage."""
-        return self.last_snapshot(self.load_records(), digest)
 
     def append_snapshot(self, digest: str, step: int, state: dict) -> None:
         """Record one finished step of run ``digest`` durably (flush +

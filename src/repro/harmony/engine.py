@@ -8,11 +8,8 @@ from repro.harmony.pro import ParallelRankOrderSearch
 from repro.harmony.random_search import RandomSearch
 from repro.harmony.session import SearchStrategy
 from repro.harmony.space import SearchSpace
-from repro.harmony.surrogate import SurrogateRankedSearch
 
-#: the self-contained strategies (buildable from a space alone).
-#: ``"surrogate"`` is also accepted by :func:`make_strategy` but needs
-#: a precomputed probe ``order`` from :mod:`repro.surrogate.plan`.
+#: the strategy names :func:`make_strategy` builds.
 STRATEGIES = ("exhaustive", "nelder-mead", "pro", "random")
 
 
@@ -22,14 +19,12 @@ def make_strategy(
     max_evals: int = 48,
     seed: int = 0,
     start: tuple[int, ...] | None = None,
-    order: tuple[tuple[int, ...], ...] | None = None,
 ) -> SearchStrategy:
     """Build a search strategy by name.
 
     ``start`` seeds simplex strategies with an initial point (ARCS
     starts near the default configuration); exhaustive and random
-    ignore it.  ``order`` is the model-ranked probe subset required by
-    (and only by) the ``"surrogate"`` strategy.
+    ignore it.
     """
     key = name.lower()
     if key == "exhaustive":
@@ -42,14 +37,4 @@ def make_strategy(
         )
     if key == "random":
         return RandomSearch(space, max_evals=max_evals, seed=seed)
-    if key == "surrogate":
-        if order is None:
-            raise ValueError(
-                "the surrogate strategy needs a precomputed probe "
-                "order (see repro.surrogate.plan)"
-            )
-        return SurrogateRankedSearch(space, order)
-    raise ValueError(
-        f"unknown strategy {name!r}; known: "
-        f"{STRATEGIES + ('surrogate',)}"
-    )
+    raise ValueError(f"unknown strategy {name!r}; known: {STRATEGIES}")

@@ -15,8 +15,8 @@ long-lived, multi-tenant service:
 * :mod:`repro.service.client` - the blocking client with per-request
   deadlines, seeded backoff retries and a circuit breaker;
 * :mod:`repro.service.source` - the :class:`ConfigSource` degradation
-  chain (remote service -> warm memo -> surrogate cold start) that the
-  controller and experiment runner consult after their local history.
+  chain (remote service -> warm memo) that the controller and
+  experiment runner consult after their local history.
 """
 
 from repro.service.client import (

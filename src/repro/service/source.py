@@ -9,9 +9,7 @@ whose tiers are *ordered by degradation*:
    tenants' tuning, survives every process);
 2. :class:`MemoSource`   - a process-wide warm memo (free once any
    strategy in this process tuned the context);
-3. an optional surrogate cold-start tier (model predictions, never
-   promoted upward);
-4. fresh tuning - not a source: it is what the runner does when the
+3. fresh tuning - not a source: it is what the runner does when the
    whole chain misses.
 
 :class:`ChainedConfigSource` walks the tiers in order.  A tier that
@@ -139,11 +137,6 @@ class ConfigSource(ABC):
     """
 
     name: str = "?"
-    #: whether a hit from this tier may be promoted into the tiers
-    #: above it.  False for *derived* knowledge (the surrogate
-    #: cold-start tier): predictions must never be written into the
-    #: measured-knowledge tiers as if they had been tuned.
-    promote: bool = True
 
     def __init__(self) -> None:
         self.notes: list[str] = []
@@ -300,11 +293,9 @@ class ChainedConfigSource(ConfigSource):
                         )
                     # re-warm the tiers above that missed (or failed):
                     # a recovered daemon gets its knowledge back from
-                    # the clients that kept it alive locally.  Tiers
-                    # serving derived (unmeasured) knowledge opt out.
-                    if source.promote:
-                        for upper in missed:
-                            upper.publish(key, entry)
+                    # the clients that kept it alive locally.
+                    for upper in missed:
+                        upper.publish(key, entry)
                     return entry
                 missed.append(source)
             if tb.enabled:
@@ -332,17 +323,11 @@ def default_chain(
     deadline_s: float | None = None,
     memo: dict[str, dict] | None = None,
     breaker: CircuitBreaker | None = None,
-    surrogate: ConfigSource | None = None,
 ) -> ChainedConfigSource:
-    """The standard degradation order: service -> memo -> surrogate
-    cold start.
+    """The standard degradation order: service -> memo.
 
     Every part is optional; the chain always contains the memo tier,
     so even a bare chain shares tuning within the process.
-    ``surrogate`` (a :class:`~repro.surrogate.source.
-    SurrogateColdStartSource`) goes last: model predictions only serve
-    when every measured-knowledge tier missed, and they are never
-    promoted upward.
     """
     from repro.service.client import DEFAULT_DEADLINE_S
 
@@ -357,6 +342,4 @@ def default_chain(
         )
         sources.append(ServiceSource(client, breaker=breaker))
     sources.append(MemoSource(memo=memo))
-    if surrogate is not None:
-        sources.append(surrogate)
     return ChainedConfigSource(sources)

@@ -2,7 +2,7 @@
 
 :meth:`repro.util.jsonlog.JsonLog.rewrite` (which every whole-file
 store - the tuned history, compacted store shards - goes through) and
-the figure, bench and surrogate artifact writers all need the same
+the figure and bench artifact writers all need the same
 guarantee: a reader (or a resumed run) must never observe a
 half-written file, even if the writer is ``kill -9``'d mid-write.  The
 standard POSIX recipe - write to a temp file in the same directory,

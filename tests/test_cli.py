@@ -88,25 +88,35 @@ class TestParser:
             ["fleet", "run", "--concurrency", "2"],
             ["run", "--no-batch"],
             ["sweep", "--no-batch"],
-            ["surrogate", "fit", "--out", "model.json", "--mlp"],
+            ["run", "--surrogate-model", "m.json"],
             ["run", "--resume-from", "ck.jsonl"],
             ["sweep", "--journal", "sweep.jsonl"],
             ["sweep", "--resume"],
-            ["surrogate", "fit", "--out", "model.json",
-             "--journal", "sweep.jsonl"],
+            ["run", "--surrogate-cold-start"],
             ["search-space", "--machine", "crill"],
             ["fleet", "run", "--journal", "fleet.jsonl", "--resume"],
         ],
         ids=["fleet-concurrency", "run-no-batch", "sweep-no-batch",
-             "surrogate-mlp", "run-resume-from", "sweep-journal",
-             "sweep-resume", "surrogate-journal", "search-space-machine",
-             "fleet-run-resume"],
+             "run-surrogate-model", "run-resume-from", "sweep-journal",
+             "sweep-resume", "run-surrogate-cold-start",
+             "search-space-machine", "fleet-run-resume"],
     )
     def test_removed_options_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--strategy", "surrogate"], ["surrogate", "fit"]],
+        ids=["run-strategy-surrogate", "surrogate-fit"],
+    )
+    def test_removed_choices_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def run_cli(argv):
@@ -467,21 +477,3 @@ class TestRobustnessFlags:
         fresh = str(tmp_path / "fresh")
         assert main(base + ["--cache-dir", fresh, "--seed", "1"]) == 0
         assert capsys.readouterr().out.replace(fresh, store) == changed
-
-    def test_surrogate_fit_folds_each_cell_once(self, tmp_path, capsys):
-        # the sweep's store is the one source of its cells: folding it
-        # yields one record set per offline cell, not one per store
-        store = str(tmp_path / "store")
-        assert main(["sweep", "--app", "synthetic", "--repeats", "1",
-                     "--cache-dir", store]) == 0
-        corpus = tmp_path / "corpus.json"
-        assert main(["surrogate", "fit", "--cache-dir", store,
-                     "--out", str(tmp_path / "m.json"),
-                     "--corpus", str(corpus)]) == 0
-        from repro.surrogate.corpus import load_corpus
-
-        records, _stats = load_corpus(corpus)
-        cells = {(r.cap_w, r.region) for r in records}
-        regions = {r.region for r in records}
-        assert len(records) == len(cells) == 5 * len(regions)
-        assert len({r.provenance for r in records}) == 5

@@ -59,9 +59,11 @@ class TestFaultPlan:
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
 
-    def test_unknown_site_rejected(self):
+    # an old plan naming a deleted site is refused, not ignored
+    @pytest.mark.parametrize("site", ["rapl.bogus", "surrogate.fit"])
+    def test_unknown_site_rejected(self, site):
         with pytest.raises(FaultPlanError, match="unknown fault site"):
-            FaultSpec(site="rapl.bogus", action="error")
+            FaultSpec(site=site, action="error")
 
     def test_unknown_action_rejected(self):
         with pytest.raises(FaultPlanError, match="action"):

@@ -628,17 +628,6 @@ class TestFleetRecords:
         crashed = next(r for r in rows if r["kind"] == "node_crashed")
         assert crashed["nodes_survived"] == 0
 
-    def test_journal_and_result_agree(self, crash_run):
-        _plan, journal, result = crash_run
-        from_journal = fleet_survival_records(journal.path)
-        from_result = fleet_survival_records(
-            fleet_result_to_json(result)
-        )
-        assert from_journal == from_result
-
-    def test_empty_journal_yields_no_rows(self, tmp_path):
-        assert fleet_survival_records(tmp_path / "nope.jsonl") == []
-
     def test_capsched_timeline_rows(self, tmp_path):
         records = [
             {"type": "event", "name": "cap.change", "seq": 4,

@@ -22,7 +22,7 @@ import zlib
 
 import pytest
 
-from repro.analysis.records import fleet_survival_records, journal_records
+from repro.analysis.records import journal_records
 from repro.core.history import CorruptHistoryError, HistoryStore
 from repro.experiments.cache import result_to_json
 from repro.experiments.journal import SweepJournal
@@ -37,7 +37,6 @@ from repro.fleet.journal import FleetJournal
 from repro.machine.spec import crill
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.service.store import ServiceStore
-from repro.surrogate.corpus import CorpusStats, fold_cache_dir
 from repro.util.jsonlog import JsonLog, encode
 from repro.workloads.synthetic import synthetic_application
 
@@ -404,22 +403,4 @@ class TestReadersDoNotWrite:
         rows = journal_records(path)
         assert len(rows) == 11
         assert path.read_bytes() == before
-        stats = CorpusStats()
-        fold_cache_dir(tmp_path, stats)
-        assert stats.skipped_damaged == 2
-        assert path.read_bytes() == before
-        assert not (tmp_path / "quarantine").exists()
-
-    def test_fleet_journal_reader(self, tmp_path):
-        journal = FleetJournal(tmp_path / "fleet.jsonl")
-        for step in (1, 2, 3):
-            journal.append_snapshot(
-                "abc",
-                step,
-                {"cells": {"n0": {"status": "done"}}, "events": []},
-            )
-        before = self._damage(journal.path)
-        rows = fleet_survival_records(journal.path)
-        assert rows[-1]["kind"] == "fleet"
-        assert journal.path.read_bytes() == before
         assert not (tmp_path / "quarantine").exists()
